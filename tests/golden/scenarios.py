@@ -74,10 +74,37 @@ ADAPTIVE_GOLDEN_SCENARIOS: Tuple[AdaptiveGoldenScenario, ...] = (
     AdaptiveGoldenScenario("adaptive", 3, 0.6, "gap", 5, 5400.0, 5400.0),
 )
 
-AnyGoldenScenario = Union[GoldenScenario, AdaptiveGoldenScenario]
+@dataclass(frozen=True)
+class SparseGoldenScenario:
+    """One seeded sparse synthetic city pinned by a committed fixture.
+
+    Same contract as :class:`GoldenScenario`, on the closed-form visit
+    model (``repro.scenario.synthetic_partitions``) at a taxi rate low
+    enough that some lights fail: the fixture pins each failure's
+    stage, error type and message as well as the estimates.
+    """
+
+    name: str
+    n_intersections: int
+    rate_per_hour: float
+    seed: int
+    horizon_s: float
+    at_time: float
+
+    @property
+    def path(self) -> pathlib.Path:
+        return FIXTURE_DIR / f"golden_{self.name}.json"
+
+
+#: Nine estimates and three red-stage data-poverty failures.
+SPARSE_GOLDEN_SCENARIOS: Tuple[SparseGoldenScenario, ...] = (
+    SparseGoldenScenario("sparse", 6, 40.0, 9, 5400.0, 5400.0),
+)
+
+AnyGoldenScenario = Union[GoldenScenario, AdaptiveGoldenScenario, SparseGoldenScenario]
 
 ALL_GOLDEN_SCENARIOS: Tuple["AnyGoldenScenario", ...] = (
-    GOLDEN_SCENARIOS + ADAPTIVE_GOLDEN_SCENARIOS
+    GOLDEN_SCENARIOS + ADAPTIVE_GOLDEN_SCENARIOS + SPARSE_GOLDEN_SCENARIOS
 )
 
 
@@ -90,6 +117,14 @@ def build_partitions(spec: AnyGoldenScenario):
             spec.n_intersections, alpha=spec.alpha, kind=spec.kind, seed=spec.seed
         )
         return synthetic_partitions(lights, 0.0, spec.horizon_s, seed=spec.seed)
+    if isinstance(spec, SparseGoldenScenario):
+        from repro.scenario import synthetic_lights, synthetic_partitions
+
+        lights = synthetic_lights(spec.n_intersections, seed=spec.seed)
+        return synthetic_partitions(
+            lights, 0.0, spec.horizon_s,
+            rate_per_hour=spec.rate_per_hour, seed=spec.seed,
+        )
 
     from repro.eval import simulate_and_partition
     from repro.scenario import small_scenario
@@ -115,6 +150,11 @@ def compute_payload(spec: AnyGoldenScenario, partitions=None) -> Dict:
     estimates, failures = identify_many(
         partitions, spec.at_time, backend="batched"
     )
+    return payload_of(spec, estimates, failures)
+
+
+def payload_of(spec: AnyGoldenScenario, estimates, failures) -> Dict:
+    """The fixture payload layout of one identification result."""
     payload: Dict = {
         "scenario": asdict(spec),
         "estimates": {},

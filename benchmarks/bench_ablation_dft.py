@@ -54,6 +54,6 @@ def test_ablation_dft_variants(benchmark, shenzhen, shenzhen_data):
 
     benchmark.pedantic(
         identify_many, args=(partitions, TIMES[0]),
-        kwargs=dict(config=PipelineConfig(), serial=False),
+        kwargs=dict(config=PipelineConfig()),
         rounds=1, iterations=1,
     )

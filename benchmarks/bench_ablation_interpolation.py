@@ -8,9 +8,8 @@ the cycle-identification task (DESIGN.md ablation #1).
 import numpy as np
 import pytest
 
-from conftest import banner
+from conftest import banner, window_samples
 from repro.core.cycle import CycleConfig, identify_cycle_from_samples
-from repro.core.pipeline import _window_samples
 from repro.core.signal_types import InsufficientDataError
 
 KINDS = ("spline", "linear", "previous")
@@ -28,7 +27,7 @@ def test_ablation_interpolation_kind(benchmark, small_city, small_city_data):
         for key in sorted(partitions):
             p = partitions[key]
             for at in TIMES:
-                t, v = _window_samples(p, at - 1800.0, at, 150.0)
+                t, v = window_samples(p, at - 1800.0, at, 150.0)
                 try:
                     est = identify_cycle_from_samples(t, v, at - 1800.0, at, cfg)
                     errs.append(abs(est.cycle_s - 98.0))
@@ -44,5 +43,5 @@ def test_ablation_interpolation_kind(benchmark, small_city, small_city_data):
     assert hits["spline"] >= max(hits.values()) - 0.15
 
     key = max(partitions, key=lambda k: len(partitions[k]))
-    t, v = _window_samples(partitions[key], 5400.0, 7200.0, 150.0)
+    t, v = window_samples(partitions[key], 5400.0, 7200.0, 150.0)
     benchmark(identify_cycle_from_samples, t, v, 5400.0, 7200.0, CycleConfig())

@@ -10,10 +10,9 @@ simulated with a 98 s cycle.
 import numpy as np
 import pytest
 
-from conftest import banner
+from conftest import banner, window_samples
 from repro.core.cycle import CycleConfig, identify_cycle_from_samples, spectrum
 from repro.core.interpolation import regularize
-from repro.core.pipeline import _window_samples
 
 TRUE_CYCLE = 98.0
 WINDOW = 3600.0
@@ -28,7 +27,7 @@ def one_light(small_city_data):
 
 
 def test_fig06_interpolation_and_dft(benchmark, one_light):
-    t, v = _window_samples(one_light, 7200.0 - WINDOW, 7200.0, 150.0)
+    t, v = window_samples(one_light, 7200.0 - WINDOW, 7200.0, 150.0)
 
     banner("Fig. 6 — cycle identification by interpolation + DFT")
     print(f"  raw samples in the 1 h window: {t.size} "

@@ -15,10 +15,9 @@ enabled, across many windows.
 import numpy as np
 import pytest
 
-from conftest import banner
+from conftest import banner, window_samples
 from repro.core.cycle import identify_cycle_from_samples
 from repro.core.enhancement import choose_primary, enhance_samples
-from repro.core.pipeline import _window_samples
 from repro.core.signal_types import InsufficientDataError
 from repro.lights.intersection import SignalPlan, attach_signals_to_network
 from repro.matching import match_trace, partition_by_light
@@ -46,10 +45,10 @@ def sparse_intersection():
 
 
 def _attempt(partition, perpendicular, at, enhance, window=1800.0):
-    t, v = _window_samples(partition, at - window, at, 150.0)
+    t, v = window_samples(partition, at - window, at, 150.0)
     n_own = t.size
     if enhance and perpendicular is not None:
-        tp, vp = _window_samples(perpendicular, at - window, at, 150.0)
+        tp, vp = window_samples(perpendicular, at - window, at, 150.0)
         if tp.size:
             t1, v1, t2, v2 = choose_primary(t, v, tp, vp)
             t, v = enhance_samples(t1, v1, t2, v2)

@@ -10,9 +10,8 @@ unfolded windows' contrast, and grows with the number of folded cycles.
 import numpy as np
 import pytest
 
-from conftest import banner
+from conftest import banner, window_samples
 from repro.core.superposition import cycle_profile, fold_samples
-from repro.core.pipeline import _window_samples
 
 CYCLE = 98.0
 RED = 39.0
@@ -38,7 +37,7 @@ def test_fig10_superposition_contrast(benchmark, small_city, small_city_data):
     contrasts, coverage = {}, {}
     for n_cycles in (3, 9, 18):
         t0 = t1 - n_cycles * CYCLE
-        t, v = _window_samples(p, t0, t1, 150.0)
+        t, v = window_samples(p, t0, t1, 150.0)
         profile = cycle_profile(t, v, CYCLE, t0)
         # coverage: in-cycle seconds directly observed (before the
         # circular interpolation fills the gaps)
@@ -56,5 +55,5 @@ def test_fig10_superposition_contrast(benchmark, small_city, small_city_data):
     # the cycle directly (contrast per-instance is noisy; coverage is not)
     assert coverage[18] > coverage[9] > coverage[3]
 
-    t, v = _window_samples(p, 0.0, 7200.0, 150.0)
+    t, v = window_samples(p, 0.0, 7200.0, 150.0)
     benchmark(fold_samples, t, v, CYCLE)

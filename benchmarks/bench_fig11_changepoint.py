@@ -11,12 +11,11 @@ distribution, plus the fused (stop-end) variant.
 import numpy as np
 import pytest
 
-from conftest import banner
+from conftest import banner, window_samples
 from repro._util import circular_diff
 from repro.core import identify_light, PipelineConfig
 from repro.core.changepoint import find_signal_change
 from repro.core.superposition import cycle_profile
-from repro.core.pipeline import _window_samples
 
 
 def test_fig11_change_point(benchmark, small_city, small_city_data):
@@ -30,7 +29,7 @@ def test_fig11_change_point(benchmark, small_city, small_city_data):
         gt = small_city.truth_at(iid, app, 7200.0)
         p = partitions[key]
         anchor = 7200.0 - 1200.0
-        t, v = _window_samples(p, anchor, 7200.0, 150.0)
+        t, v = window_samples(p, anchor, 7200.0, 150.0)
         if t.size < 10:
             continue
         profile = cycle_profile(t, v, gt.cycle_s, anchor)
@@ -59,7 +58,7 @@ def test_fig11_change_point(benchmark, small_city, small_city_data):
     key = max(partitions, key=lambda k: len(partitions[k]))
     p = partitions[key]
     anchor = 7200.0 - 1200.0
-    t, v = _window_samples(p, anchor, 7200.0, 150.0)
+    t, v = window_samples(p, anchor, 7200.0, 150.0)
     gt = small_city.truth_at(*key, 7200.0)
     profile = cycle_profile(t, v, gt.cycle_s, anchor)
     benchmark(find_signal_change, profile, gt.red_s)

@@ -21,8 +21,7 @@ def test_fig13_snapshot(benchmark, shenzhen, shenzhen_data):
     _, partitions = shenzhen_data
 
     estimates, failures = benchmark.pedantic(
-        identify_many, args=(partitions, SNAPSHOT_T),
-        kwargs=dict(serial=False), rounds=1, iterations=1,
+        identify_many, args=(partitions, SNAPSHOT_T), rounds=1, iterations=1,
     )
 
     banner(f"Fig. 13 — ground truth vs identified (t = {SNAPSHOT_T / 3600:.2f} h)")

@@ -12,6 +12,7 @@ import pytest
 
 from repro.eval import simulate_and_partition
 from repro.scenario import shenzhen_scenario, small_scenario
+from repro.trace.store import PartitionStore
 
 
 def banner(title: str) -> None:
@@ -19,6 +20,13 @@ def banner(title: str) -> None:
     print("=" * 72)
     print(title)
     print("=" * 72)
+
+
+def window_samples(partition, t0: float, t1: float, max_dist_m: float):
+    """(t, speed) near one partition's stop line within ``[t0, t1)`` —
+    the same extraction the pipeline's samples stage makes."""
+    store = PartitionStore.from_partitions({partition.key: partition})
+    return store.window_samples(partition.key, t0, t1, max_dist_m)
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,8 @@ lint rules, so whole bug classes are rejected before anything runs:
 ========  ==========================================================
 REP001    no mutable or call-expression default arguments (the
           shared ``config=PipelineConfig()`` bug class)
-REP002    no broad/bare ``except`` outside the two sanctioned
-          containment seams (``repro/core/pipeline.py``,
-          ``repro/parallel/pool.py``)
+REP002    no broad/bare ``except`` outside the sanctioned containment
+          seam (``repro/parallel/pool.py``)
 REP003    RNGs enter library code only through the
           ``repro._util.as_rng`` / ``seed_sequence_for`` seams
 REP004    no wall-clock reads in ``repro.core`` / ``repro.trace``

@@ -61,10 +61,9 @@ class Finding:
 
 #: Files whose broad ``except`` handlers are the sanctioned containment
 #: seams: every caught exception is converted into a typed
-#: ``LightFailure`` / ``WorkerError`` there, and *only* there.  REP002
-#: suppression comments anywhere else are themselves violations.
+#: ``WorkerError`` there, and *only* there.  REP002 suppression comments
+#: anywhere else are themselves violations.
 CONTAINMENT_SEAMS = (
-    "repro/core/pipeline.py",
     "repro/parallel/pool.py",
 )
 
@@ -288,12 +287,10 @@ class BroadExceptRule(Rule):
     """REP002 — broad ``except`` only at the sanctioned containment seams.
 
     Catch-all handlers silently swallow programming errors.  The fault
-    containment model allows exactly two seams to catch ``Exception``
-    — ``repro/core/pipeline.py`` (per-light containment, routing to
-    ``LightFailure``) and ``repro/parallel/pool.py`` (per-work-item
-    containment, routing to ``WorkerError``).  Everything else must
-    catch specific types or route through those seams
-    (``repro.parallel.pool.run_guarded``).
+    containment model allows exactly one seam to catch ``Exception``
+    — ``repro/parallel/pool.py`` (per-work-item containment, routing to
+    ``WorkerError``).  Everything else must catch specific types or
+    route through that seam (``repro.parallel.pool.run_guarded``).
     """
 
     id = "REP002"

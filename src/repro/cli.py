@@ -46,6 +46,8 @@ __all__ = ["main", "build_parser"]
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from .core.pipeline import BACKENDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Traffic-light scheduling identification from taxi traces "
@@ -70,21 +72,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="identification time (simulation seconds)")
     ident.add_argument("--window", type=float, default=1800.0,
                        help="analysis window length, seconds")
-    ident.add_argument("--serial", action="store_true",
-                       help="disable the process pool")
-    ident.add_argument("--backend",
-                       choices=("serial", "process", "batched", "stream",
-                                "shard"),
-                       default=None,
-                       help="execution backend (overrides --serial); "
-                            "'batched' runs the whole city through shared "
-                            "vectorized kernels, 'stream' goes through the "
-                            "incremental subsystem (one-shot here; see "
-                            "`repro stream` for chunked replay), 'shard' "
-                            "fans the batched kernels out over a process "
-                            "pool via a zero-copy mmap-backed column store")
+    ident.add_argument("--backend", choices=BACKENDS, default="batched",
+                       help="execution backend: 'batched' (default) runs "
+                            "the whole city through shared vectorized "
+                            "kernels, 'serial' one light at a time, "
+                            "'shard' fans the batched kernels out over a "
+                            "process pool via a zero-copy mmap-backed "
+                            "column store")
     ident.add_argument("--workers", type=int, default=None,
-                       help="worker processes for the pooled backends "
+                       help="worker processes for the shard backend "
                             "(default: available CPUs, capped at 8)")
     ident.add_argument("--report", metavar="PATH", default=None,
                        help="write the RunReport JSON (stage wall times, "
@@ -95,14 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="prefix written by `repro simulate` (plans required)")
     ev.add_argument("--times", type=float, nargs="+", required=True,
                     help="identification time spots (simulation seconds)")
-    ev.add_argument("--serial", action="store_true")
-    ev.add_argument("--backend",
-                    choices=("serial", "process", "batched", "stream",
-                             "shard"),
-                    default=None,
-                    help="execution backend (overrides --serial)")
+    ev.add_argument("--backend", choices=BACKENDS, default="batched",
+                    help="execution backend (see `repro identify`)")
     ev.add_argument("--workers", type=int, default=None,
-                    help="worker processes for the pooled backends")
+                    help="worker processes for the shard backend")
     ev.add_argument("--report", metavar="PATH", default=None,
                     help="write the RunReport JSON aggregated over all "
                          "time spots to PATH")
@@ -174,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trace horizon, seconds")
     fr.add_argument("--seed", type=int, default=0)
     fr.add_argument("--backends", nargs="+", default=None,
-                    choices=("serial", "process", "batched", "stream", "shard"),
+                    choices=BACKENDS,
                     help="identification backends to cross-check bit-for-bit")
     fr.add_argument("--json", metavar="PATH", default=None,
                     help="write the frontier curve as JSON to PATH")
@@ -252,7 +244,7 @@ def _cmd_identify(args) -> int:
     config = PipelineConfig(window_s=args.window)
     report = RunReport() if args.report else None
     estimates, failures = identify_many(
-        partitions, args.at, config=config, serial=args.serial,
+        partitions, args.at, config=config,
         backend=args.backend, max_workers=args.workers, report=report,
     )
 
@@ -306,7 +298,7 @@ def _cmd_evaluate(args) -> int:
 
     report = RunReport() if args.report else None
     result = evaluate_at_times(
-        partitions, truth_fn, args.times, serial=args.serial,
+        partitions, truth_fn, args.times,
         backend=args.backend, max_workers=args.workers, report=report,
     )
     print(f"samples: {len(result)}  (data-starved: {result.n_failures})")

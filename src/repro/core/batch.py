@@ -1,10 +1,18 @@
-"""Batched citywide identification kernels.
+"""Citywide identification: the paper's per-light stages, written once.
 
-The serial pipeline (:mod:`repro.core.pipeline`) runs each light's §V–§VI
-stages on tiny arrays — a lone FFT here, a Python-loop folding scan
-there — so a citywide ``identify_many`` pays per-light Python overhead
-hundreds of times per time spot.  This module stacks the per-light work
-into whole-city array operations:
+This module holds the only definition of the seven §V–§VI stages
+(samples, stops, cycle, red, superposition, changepoint, refine) and
+the only orchestrator that runs them, :func:`identify_batch`.  Every
+entry point goes through it: ``identify_many``'s ``"batched"`` backend
+runs the whole city in one call, ``"serial"`` runs one light per call,
+``"shard"`` runs one key shard per worker, the stream session re-runs
+its dirty lights, and :func:`repro.core.pipeline.identify_light` runs
+one light on a one-light store and re-raises its exception.
+
+The per-light work is split into three passes (:func:`_prepare_light`,
+:func:`_score_light`, :func:`_assemble_light`), and between them the
+whole city shares array kernels instead of paying per-light Python
+overhead:
 
 * **one** ``np.fft.rfft`` over the ``(n_lights, n_seconds)`` matrix of
   regularized 1 Hz speed grids (:func:`spectra_batch`);
@@ -17,23 +25,22 @@ into whole-city array operations:
 * **one** strided cumulative-sum pass computing every light's circular
   moving average (:func:`circular_moving_average_batch`).
 
-Bit-for-bit parity with the serial backend is a design requirement, not
-an aspiration: every kernel reproduces the exact floating-point
-operation order of its serial counterpart (same reductions over the
-same contiguous slices), and the per-light *control flow* is shared
-with the serial code through seams (:func:`repro.core.cycle._select_cycle`
-takes the scanner as a parameter; ``find_signal_change`` accepts a
-precomputed moving average).  ``tests/test_batch_parity.py`` and
-``tests/test_kernel_properties.py`` pin this down.
+Every kernel is row-wise exact: it reproduces the floating-point
+operation order of its scalar reference (``spectrum``, ``fold_zscore``,
+``cycle_profile``, ``circular_moving_average``), so a light's estimate
+has the same bits whether it runs alone or with the whole city.
+``tests/test_kernel_properties.py``, ``tests/test_batch_parity.py`` and
+the golden fixtures pin this down.
 
-Fault containment composes with PR 1's model: any exception while a
-light is on the batched path sends **that light alone** through the
-serial containment path (:func:`repro.core.pipeline._identify_one`),
-which either recovers an estimate or reproduces the exact serial
-:class:`~repro.obs.report.LightFailure`; the batch never aborts.  Every
-risky per-light step routes through the sanctioned containment seam
-(:func:`repro.parallel.pool.run_guarded`) — this module itself holds no
-catch-all handlers (the REP002 invariant).
+Fault containment: every per-light step runs through the sanctioned
+containment seam (:func:`repro.parallel.pool.run_guarded`).  A light
+that raises gets its :class:`~repro.obs.report.LightFailure` where it
+raised — the exception's class and message, and the stage its
+telemetry last entered — and drops out of the later passes; the other
+lights carry on.  When a whole-city superposition fold raises, the same
+kernel re-runs one light at a time, so only the light that breaks it
+fails.  This module itself holds no catch-all handlers (the REP002
+invariant).
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .changepoint import find_signal_change
 from .cycle import _select_cycle
 from .enhancement import choose_primary, enhance_samples
 from .interpolation import regularize
-from .pipeline import _MIN_RED_S, PipelineConfig, _identify_one
+from .pipeline import PipelineConfig
 from .redlight import estimate_red_duration, refine_red_from_change
 from .signal_types import InsufficientDataError, ScheduleEstimate
 from .superposition import fill_circular
@@ -296,8 +303,15 @@ def circular_moving_average_batch(
 
 
 # ----------------------------------------------------------------------
-# Orchestrator
+# Orchestrator: the paper's seven stages, written once
 # ----------------------------------------------------------------------
+
+#: Floor for the red-duration estimate: one ``cycle_profile`` bin
+#: (``bin_s=1.0``).  The border-interval estimator can return ~0 on
+#: degenerate histograms, and ``find_signal_change`` requires a strictly
+#: positive sliding-window length.
+_MIN_RED_S = 1.0
+
 
 def _prepare_light(
     store: PartitionStore,
@@ -311,8 +325,7 @@ def _prepare_light(
     """Pass 1 for one light: samples, stops, regularized grid.
 
     Raises on any per-light problem; the orchestrator routes the call
-    through :func:`repro.parallel.pool.run_guarded` and sends failing
-    lights down the serial containment path.
+    through :func:`repro.parallel.pool.run_guarded`.
     """
     ccfg = cfg.cycle
     with tel.stage("samples"):
@@ -348,6 +361,9 @@ def _prepare_light(
             else stops_all
         )
         tel.count("stops_kept", len(stops))
+        # Each stop's last stationary report precedes the true green onset
+        # by ~half that taxi's report gap on average; corrected end times
+        # anchor both the cycle search (comb score) and the change point.
         gaps = stops.duration_s / np.maximum(stops.n_records - 1, 1)
         stop_ends = stops.t_end + gaps / 2.0
 
@@ -422,9 +438,16 @@ def _score_light(
         )
         tel.count("red_stops_used", red.n_stops_used)
         tel.count("red_stops_rejected", red.n_stops_rejected)
+        # Clamp to [one profile bin, 0.9·cycle]: keeps the schedule
+        # well-formed and keeps find_signal_change's check_positive
+        # satisfied when the border-interval estimate degenerates to ~0.
         red_s = float(np.clip(red.red_s, _MIN_RED_S, 0.9 * cycle_s))
 
     with tel.stage("superposition"):
+        # Superpose the *target direction's* own samples (not the mirrored
+        # ones: the perpendicular direction has the opposite phase) over
+        # the tighter phase window; the fold itself runs once for the
+        # whole city later.
         t_ph, v_ph = store.window_samples(
             key, phase_anchor, at_time, cfg.max_sample_dist_m
         )
@@ -443,24 +466,20 @@ def _score_light(
 
 
 def _batch_moving_averages(
-    states: Dict[LightKey, dict],
-    profiles: Dict[LightKey, np.ndarray],
-    built: List[LightKey],
+    states: Dict[LightKey, dict], profiles: Dict[LightKey, np.ndarray]
 ) -> Dict[LightKey, np.ndarray]:
     """All built lights' circular moving averages in one strided pass.
 
     Raises on any problem; the orchestrator treats that as "no batched
-    moving averages" and lets the change-point step recompute serially.
+    moving averages" and lets the change-point step compute each
+    light's own.
     """
     windows = [
-        int(np.clip(round(states[key]["red_s"] / 1.0),
-                    1, profiles[key].shape[0]))
-        for key in built
+        int(np.clip(round(states[key]["red_s"] / 1.0), 1, profile.shape[0]))
+        for key, profile in profiles.items()
     ]
-    ma_list = circular_moving_average_batch(
-        [profiles[key] for key in built], windows
-    )
-    return dict(zip(built, ma_list))
+    ma_list = circular_moving_average_batch(list(profiles.values()), windows)
+    return dict(zip(profiles, ma_list))
 
 
 def _assemble_light(
@@ -505,6 +524,7 @@ def _assemble_light(
     schedule = LightSchedule(
         cycle_s=cycle_s,
         red_s=red_s,
+        # the detector pins the red→green instant; red counts back from it
         offset_s=red_to_green_abs - red_s,
     )
     return ScheduleEstimate(
@@ -516,6 +536,101 @@ def _assemble_light(
         red=red,
         change=change,
     )
+
+
+def _run_passes(
+    store: PartitionStore,
+    at_time: float,
+    config: Optional[PipelineConfig],
+    tels: Dict[LightKey, StageTelemetry],
+) -> Tuple[Dict[LightKey, ScheduleEstimate], Dict[LightKey, WorkerError]]:
+    """Run the three passes, and the whole-city kernels between them.
+
+    Identifies every light in ``tels``, writing its stage timings and
+    counters into ``tels[key]``.  Each per-light step runs through
+    :func:`repro.parallel.pool.run_guarded`: a light that raises leaves
+    the later passes with its :class:`~repro.parallel.pool.WorkerError`
+    and every other light carries on.  Returns ``(estimates, errors)``.
+    """
+    cfg = PipelineConfig() if config is None else config
+    ccfg = cfg.cycle
+    keys = sorted(tels)
+    anchor = at_time - cfg.window_s
+    phase_anchor = at_time - cfg.phase_window_s
+    states: Dict[LightKey, dict] = {}
+    errors: Dict[LightKey, WorkerError] = {}
+
+    # -- per-light pass 1: samples, stops, regularized grid -------------
+    for key in keys:
+        state = run_guarded(
+            _prepare_light, store, key, partner_of(key), cfg, anchor, at_time,
+            tels[key],
+        )
+        if isinstance(state, WorkerError):
+            errors[key] = state
+        else:
+            states[key] = state
+
+    # -- whole-city DFT -------------------------------------------------
+    live = list(states)
+    periods = in_band = None
+    if live:
+        sigs = np.stack([states[key]["sig"] for key in live])
+        periods, mags = spectra_batch(sigs, ccfg.dt)
+        in_band = (periods >= ccfg.min_cycle_s) & (periods <= ccfg.max_cycle_s)
+        for i, key in enumerate(live):
+            states[key]["mag"] = mags[i]
+
+    # -- per-light pass 2: cycle selection, red, phase window -----------
+    for key in live:
+        scored = run_guarded(
+            _score_light, store, key, states[key], cfg, periods, in_band,
+            anchor, at_time, phase_anchor, tels[key],
+        )
+        if isinstance(scored, WorkerError):
+            errors[key] = scored
+            del states[key]
+
+    # -- whole-city superposition + moving average ----------------------
+    # Pass 2 left every light with at least 4 phase samples, so none of
+    # their profiles comes back None.
+    phase_keys = list(states)
+    entries = [
+        (states[key]["t_ph"], states[key]["v_ph"], states[key]["cycle_s"],
+         phase_anchor)
+        for key in phase_keys
+    ]
+    profs = run_guarded(cycle_profile_batch, entries) if entries else []
+    if isinstance(profs, WorkerError):
+        # The same kernel one light at a time: only the light that breaks
+        # it fails, at stage "superposition" (the last one pass 2 entered).
+        profs = [run_guarded(cycle_profile_batch, [entry]) for entry in entries]
+        profs = [p if isinstance(p, WorkerError) else p[0] for p in profs]
+    profiles: Dict[LightKey, np.ndarray] = {}
+    for key, profile in zip(phase_keys, profs):
+        if isinstance(profile, WorkerError):
+            errors[key] = profile
+        else:
+            profiles[key] = profile
+    mas: Dict[LightKey, np.ndarray] = {}
+    if profiles:
+        # With no batched moving averages, pass 3 lets
+        # find_signal_change compute each light's own.
+        got = run_guarded(_batch_moving_averages, states, profiles)
+        mas = {} if isinstance(got, WorkerError) else got
+
+    # -- per-light pass 3: change point, refinement, assembly -----------
+    estimates: Dict[LightKey, ScheduleEstimate] = {}
+    for key, profile in profiles.items():
+        est = run_guarded(
+            _assemble_light, key, states[key], profile, mas.get(key),
+            cfg, phase_anchor, at_time, tels[key],
+        )
+        if isinstance(est, WorkerError):
+            errors[key] = est
+        else:
+            estimates[key] = est
+    return estimates, errors
 
 
 def identify_batch(
@@ -533,123 +648,29 @@ def identify_batch(
 
     ``store`` is a :class:`~repro.trace.store.PartitionStore` (a plain
     partition dict is wrapped on the fly).  Returns
-    ``(estimates, failures, telemetry_by_light)`` with the same
-    estimate/failure contents as the serial backend: stage structure,
-    failure typing, and per-light containment all match, and any light
-    the batched path cannot carry (irregular columns, degenerate grid,
-    kernel edge case) is re-run through the serial containment path
-    rather than aborting the batch.
+    ``(estimates, failures, telemetry_by_light)``.  A light that raises
+    gets a :class:`~repro.obs.report.LightFailure` carrying the
+    exception's class and message and the stage it raised in; the other
+    lights are unaffected.  Quarantined irregular partitions run the
+    same passes through the store's pass-through views.
 
     ``keys`` restricts the run to a subset of lights (the streaming
-    backend re-runs only dirty lights).  Perpendicular-enhancement
-    lookups still consult the full store, and every kernel is row-wise
-    exact, so each light's estimate is bit-identical whether it runs in
-    a subset or in the full city.
+    backend re-runs only dirty lights; ``backend="serial"`` runs one
+    light per call).  Perpendicular-enhancement lookups still consult
+    the full store, and every kernel is row-wise exact, so each light's
+    estimate is bit-identical whether it runs alone, in a subset or in
+    the full city.
     """
-    cfg = PipelineConfig() if config is None else config
     store = PartitionStore.from_partitions(store)
-    ccfg = cfg.cycle
     keys = sorted(store) if keys is None else sorted(keys)
-    anchor = at_time - cfg.window_s
-    phase_anchor = at_time - cfg.phase_window_s
-
-    tels: Dict[LightKey, StageTelemetry] = {}
-    states: Dict[LightKey, dict] = {}
-    fallback: Dict[LightKey, bool] = {}
-
-    # -- per-light pass 1: samples, stops, regularized grid -------------
-    for key in keys:
-        tel = StageTelemetry()
-        tels[key] = tel
-        if not store.is_regular(key):
-            fallback[key] = True
-            continue
-        perp_key = partner_of(key)
-        state = run_guarded(
-            _prepare_light, store, key, perp_key, cfg, anchor, at_time, tel
+    tels = {key: StageTelemetry() for key in keys}
+    estimates, errors = _run_passes(store, at_time, config, tels)
+    failures = {
+        key: LightFailure(
+            error_type=errors[key].error_type,
+            stage=tels[key].last_stage or "setup",
+            message=errors[key].message,
         )
-        if isinstance(state, WorkerError):
-            fallback[key] = True
-        else:
-            states[key] = state
-
-    # -- whole-city DFT -------------------------------------------------
-    live = [key for key in keys if key in states]
-    periods = in_band = None
-    if live:
-        sigs = np.stack([states[key]["sig"] for key in live])
-        periods, mags = spectra_batch(sigs, ccfg.dt)
-        in_band = (periods >= ccfg.min_cycle_s) & (periods <= ccfg.max_cycle_s)
-        for i, key in enumerate(live):
-            states[key]["mag"] = mags[i]
-
-    # -- per-light pass 2: cycle selection, red, phase window -----------
-    for key in live:
-        scored = run_guarded(
-            _score_light, store, key, states[key], cfg, periods, in_band,
-            anchor, at_time, phase_anchor, tels[key],
-        )
-        if isinstance(scored, WorkerError):
-            fallback[key] = True
-
-    # -- whole-city superposition + moving average ----------------------
-    phase_keys = [key for key in live if key not in fallback]
-    profiles: Dict[LightKey, np.ndarray] = {}
-    mas: Dict[LightKey, np.ndarray] = {}
-    if phase_keys:
-        profs = run_guarded(
-            cycle_profile_batch,
-            [
-                (
-                    states[key]["t_ph"], states[key]["v_ph"],
-                    states[key]["cycle_s"], phase_anchor,
-                )
-                for key in phase_keys
-            ],
-        )
-        if isinstance(profs, WorkerError):
-            profs = [None] * len(phase_keys)
-        built = []
-        for key, profile in zip(phase_keys, profs):
-            if profile is None:
-                fallback[key] = True
-            else:
-                profiles[key] = profile
-                built.append(key)
-        if built:
-            # With no batched moving averages, pass 3 lets
-            # find_signal_change recompute each light's serially.
-            got = run_guarded(_batch_moving_averages, states, profiles, built)
-            mas = {} if isinstance(got, WorkerError) else got
-
-    # -- per-light pass 3: change point, refinement, assembly -----------
-    estimates: Dict[LightKey, ScheduleEstimate] = {}
-    failures: Dict[LightKey, LightFailure] = {}
-    for key in phase_keys:
-        if key in fallback:
-            continue
-        est = run_guarded(
-            _assemble_light, key, states[key], profiles[key], mas.get(key),
-            cfg, phase_anchor, at_time, tels[key],
-        )
-        if isinstance(est, WorkerError):
-            fallback[key] = True
-        else:
-            estimates[key] = est
-
-    # -- serial containment for everything the batch could not carry ----
-    for key in keys:
-        if key not in fallback:
-            continue
-        perp_key = partner_of(key)
-        perp = store.partition(perp_key) if perp_key in store else None
-        _key, est, failure, tel = _identify_one(
-            (store.partition(key), perp, at_time, cfg)
-        )
-        tels[key] = tel
-        if est is not None:
-            estimates[key] = est
-        else:
-            failures[key] = failure
-
+        for key in sorted(errors)
+    }
     return estimates, failures, tels

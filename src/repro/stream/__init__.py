@@ -1,6 +1,6 @@
 """Streaming identification: incremental ingest with replay parity.
 
-The one-shot backends (serial/process/batched) recompute the whole city
+The one-shot backends (serial/batched/shard) recompute the whole city
 for every new batch of records.  This package maintains per-light state
 instead: chunks append into the columnar store, only the touched lights
 (and their enhancement-coupled perpendicular partners) lose their

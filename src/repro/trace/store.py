@@ -104,7 +104,7 @@ class PartitionStore:
         self._columns: Optional[Dict[str, np.ndarray]] = dict(columns)
         # Partitions whose columns disagree on length cannot be stored
         # columnar without corrupting their neighbours' row ranges; they
-        # ride along as-is and always take the serial path.
+        # ride along as-is and are read through pass-through views.
         self._irregular: Dict[LightKey, Any] = dict(irregular or {})
         self._mmap_dir = mmap_dir
         self._init_derived()
@@ -196,7 +196,7 @@ class PartitionStore:
           events, mean report interval, and memo (:attr:`cache`)
           entries — every other light's caches survive verbatim;
         * an irregular chunk (inconsistent column lengths) quarantines
-          its light onto the serial pass-through path, exactly like an
+          its light onto the pass-through views, exactly like an
           irregular partition at build time; healthy lights are
           unaffected;
         * a store spilled to ``mmap_dir`` is pulled back in-memory (the
@@ -435,7 +435,7 @@ class PartitionStore:
 
     def is_regular(self, key: LightKey) -> bool:
         """False for pass-through partitions with inconsistent columns
-        (those always take the serial path)."""
+        (those are read through pass-through views)."""
         return key in self._index
 
     @property
@@ -494,9 +494,8 @@ class PartitionStore:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """(t, speed) near the stop line within ``[t0, t1)``.
 
-        Identical values to
-        :func:`repro.core.pipeline._window_samples` on the equivalent
-        partition; time-sorted lights use a binary search instead of a
+        The records with ``t0 <= t < t1`` and ``dist <= max_dist_m``, in
+        row order; time-sorted lights use a binary search instead of a
         full mask.
         """
         if key in self._irregular:
@@ -565,7 +564,7 @@ def _is_regular(partition: "LightPartition") -> bool:
     Probing arbitrary partition-like objects can raise anything, so the
     probe runs through the sanctioned containment seam
     (:func:`repro.parallel.pool.run_guarded`); a partition whose probe
-    fails is quarantined onto the serial path rather than trusted.
+    fails is quarantined onto the pass-through views rather than trusted.
     """
     return run_guarded(_probe_regular, partition) is True
 
@@ -626,7 +625,7 @@ def _merge_irregular(base: Any, fresh: Any) -> Any:
 
     Either side may be arbitrary garbage, so the merge runs through the
     sanctioned containment seam.  When it fails, the *fresh* chunk wins:
-    the serial path then surfaces the fault for this light instead of
+    identification then surfaces the fault for this light instead of
     silently serving estimates from stale pre-chunk records.
     """
     merged = run_guarded(_merge_partitions, base, fresh)

@@ -1,11 +1,13 @@
-"""Backend parity: serial, process-pool, and batched identification.
+"""Backend parity: serial (batch-of-one), batched, and sharded runs.
 
-The batched backend (``repro.core.batch``) re-implements the per-light
-pipeline as whole-city array kernels.  Its contract is not "close": the
-estimate maps must match the serial reference **bit-for-bit** and the
-failure maps must carry the same keys, stages, and exception types —
-including when a slice of the city is poisoned.  These tests pin that
-contract on the seeded test city and on a ~10%-corrupted variant.
+Every backend runs the same passes of ``repro.core.batch``; what
+differs is how many lights share one call.  The contract is not
+"close": stacking lights must change nothing, so the estimate maps
+must match the one-light-per-call reference **bit-for-bit** and the
+failure maps must carry the same keys, stages, exception types and
+messages — including when a slice of the city is poisoned.  These
+tests pin that contract on the seeded test city and on a
+~10%-corrupted variant.
 """
 
 import numpy as np
@@ -62,7 +64,7 @@ def _poisoned_city(partitions):
 
 class TestBackendParity:
     def test_batched_matches_serial_bitwise(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="batched")
         assert len(ref[0]) > 0, "fixture city must identify some lights"
         _assert_parity(ref, out, "batched")
@@ -73,21 +75,8 @@ class TestBackendParity:
         from_store = identify_many(store, 5400.0, backend="batched")
         _assert_parity(from_dict, from_store, "store-backed batched")
 
-    @pytest.mark.slow
-    def test_process_matches_serial(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
-        out = identify_many(partitions, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process")
-
-    @pytest.mark.slow
-    def test_process_with_shared_store_matches_serial(self, partitions):
-        store = PartitionStore.from_partitions(partitions)
-        ref = identify_many(partitions, 5400.0, serial=True)
-        out = identify_many(store, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process+store")
-
     def test_shard_matches_serial_bitwise(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=1)
         _assert_parity(ref, out, "shard")
 
@@ -101,7 +90,7 @@ class TestBackendParity:
 
     @pytest.mark.slow
     def test_shard_pool_matches_serial(self, partitions):
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w")
 
@@ -113,7 +102,7 @@ class TestBackendParity:
 class TestPoisonedCityParity:
     def test_poisoned_city_all_backends(self, partitions):
         city, bad_key, dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
+        ref = identify_many(city, 5400.0, backend="serial")
         assert bad_key in ref[1], "corrupt partition must fail"
         assert ref[1][bad_key].error_type == "ValueError"
         assert ref[1][bad_key].stage == "samples"
@@ -128,16 +117,9 @@ class TestPoisonedCityParity:
         assert len(out_shard[0]) + len(out_shard[1]) == len(city)
 
     @pytest.mark.slow
-    def test_poisoned_city_process_pool(self, partitions):
-        city, _bad_key, _dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
-        out = identify_many(city, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out, "process/poisoned")
-
-    @pytest.mark.slow
     def test_poisoned_city_shard_pool(self, partitions):
         city, _bad_key, _dead_key = _poisoned_city(partitions)
-        ref = identify_many(city, 5400.0, serial=True)
+        ref = identify_many(city, 5400.0, backend="serial")
         out = identify_many(city, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w/poisoned")
 
@@ -148,7 +130,7 @@ class TestStoreReuse:
         store = PartitionStore.from_partitions(partitions)
         times = (4500.0, 5400.0, 5400.0)  # repeated spot hits the cache
         for at in times:
-            ref = identify_many(partitions, at, serial=True)
+            ref = identify_many(partitions, at, backend="serial")
             out = identify_many(store, at, backend="batched")
             _assert_parity(ref, out, f"store reuse at t={at}")
         assert len(store.cache) > 0, "repeated spots should populate the cache"
@@ -206,20 +188,18 @@ class TestAdaptiveTraceParity:
     for divergence."""
 
     def test_batched_matches_serial_bitwise(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="batched")
         assert len(ref[0]) > 0, "adaptive city must identify some lights"
         _assert_parity(ref, out, "batched/adaptive")
 
     def test_shard_matches_serial_bitwise(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=1)
         _assert_parity(ref, out, "shard/adaptive")
 
     @pytest.mark.slow
-    def test_process_and_shard_pools_match_serial(self, adaptive_city):
-        ref = identify_many(adaptive_city, 5400.0, serial=True)
-        out_p = identify_many(adaptive_city, 5400.0, backend="process", max_workers=2)
-        _assert_parity(ref, out_p, "process/adaptive")
-        out_s = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=2)
-        _assert_parity(ref, out_s, "shard@2w/adaptive")
+    def test_shard_pool_matches_serial(self, adaptive_city):
+        ref = identify_many(adaptive_city, 5400.0, backend="serial")
+        out = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=2)
+        _assert_parity(ref, out, "shard@2w/adaptive")

@@ -47,7 +47,7 @@ class TestPipelineCommands:
 
     def test_identify_with_truth(self, city_prefix, capsys):
         rc = main(["identify", "--city", city_prefix, "--at", "3600",
-                   "--serial"])
+                   "--backend", "serial"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "dCycle" in out  # ground truth present -> scored output
@@ -58,7 +58,7 @@ class TestPipelineCommands:
 
         path = str(tmp_path / "report.json")
         rc = main(["identify", "--city", city_prefix, "--at", "3600",
-                   "--serial", "--report", path])
+                   "--backend", "serial", "--report", path])
         assert rc == 0
         out = capsys.readouterr().out
         assert "wrote run report" in out
@@ -78,7 +78,7 @@ class TestPipelineCommands:
 class TestEvaluateCommand:
     def test_evaluate(self, city_prefix, capsys):
         rc = main(["evaluate", "--city", city_prefix, "--times", "2700", "3600",
-                   "--serial"])
+                   "--backend", "serial"])
         assert rc == 0
         out = capsys.readouterr().out
         assert "cycle length" in out and "cycle-locked" in out
@@ -103,10 +103,13 @@ class TestStreamCommand:
         assert sum(c["n_records"] for c in doc["chunks"]) > 0
 
     def test_stream_backend_flag_on_identify(self, city_prefix, capsys):
-        rc = main(["identify", "--city", city_prefix, "--at", "3600",
-                   "--backend", "stream"])
-        assert rc == 0
-        assert "cycle" in capsys.readouterr().out
+        """The one-shot stream alias and the process pool are gone;
+        `repro stream` is the streaming entry point."""
+        for args in (["identify", "--at", "3600"], ["evaluate", "--times", "3600"]):
+            for backend in ("stream", "process"):
+                with pytest.raises(SystemExit):
+                    main([*args, "--city", city_prefix, "--backend", backend])
+                assert "invalid choice" in capsys.readouterr().err
 
 
 class TestServeBenchCommand:

@@ -31,7 +31,7 @@ pytestmark = pytest.mark.slow
 class TestSimulateToIdentify:
     def test_full_stack_accuracy(self, city, partitions):
         """simulate → report → match → partition → identify, scored."""
-        ests, fails = identify_many(partitions, 5400.0, serial=True)
+        ests, fails = identify_many(partitions, 5400.0, backend="serial")
         assert len(ests) >= 6
         good = 0
         for key, est in ests.items():
@@ -91,7 +91,7 @@ class TestIdentifiedSchedulesDriveNavigation:
     def test_estimated_provider_saves_time(self, city, partitions):
         """Close the loop: identify schedules from traces, then use them
         for light-aware navigation on the same ground truth."""
-        ests, _ = identify_many(partitions, 5400.0, serial=True)
+        ests, _ = identify_many(partitions, 5400.0, backend="serial")
         schedules = {k: e.schedule for k, e in ests.items()}
         sim = TripSimulator(city.net, city.signals, TravelConfig(11.0))
         est_provider = EstimatedProvider(schedules)
@@ -120,7 +120,7 @@ class TestEvalHarnessEndToEnd:
 
     def test_full_evaluation_run(self, city, partitions):
         res = evaluate_at_times(
-            partitions, city.truth_at, [4500.0, 5400.0], serial=True
+            partitions, city.truth_at, [4500.0, 5400.0], backend="serial"
         )
         assert len(res) == 16
         ok = ~np.isnan(res.cycle_errors)

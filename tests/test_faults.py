@@ -1,21 +1,21 @@
 """Fault-injection coverage for the identification pipeline.
 
-Historical bug: ``_identify_one`` caught only ``InsufficientDataError``,
-so any other exception raised inside one light's pipeline — a
-``ValueError`` from degenerate inputs, a crash in the change-point
-stage — propagated out of the worker and aborted the entire
-``identify_many`` pool.  These tests inject each failure mode the issue
-names (empty phase window, all-stopped profile, zero-duration stops,
-corrupt arrays, degenerate red estimates) and assert the blast radius
-is one light.
+Historical bug: the per-light containment caught only
+``InsufficientDataError``, so any other exception raised inside one
+light's pipeline — a ``ValueError`` from degenerate inputs, a crash in
+the change-point stage — propagated out of the worker and aborted the
+entire ``identify_many`` pool.  These tests inject failure modes (empty
+phase window, all-stopped profile, zero-duration stops, corrupt arrays,
+degenerate red estimates, a crashing whole-city kernel) and assert the
+blast radius is one light.
 """
 
 import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, identify_light, identify_many
+from repro.core import batch as batch_mod
 from repro.core import monitor as monitor_mod
-from repro.core import pipeline as pipeline_mod
 from repro.core.cycle import CycleConfig, _scan_fold, identify_cycle_from_samples
 from repro.core.monitor import monitor_cycle, repair_outliers
 from repro.core.redlight import estimate_red_duration
@@ -23,6 +23,7 @@ from repro.core.signal_types import InsufficientDataError, RedEstimate
 from repro.matching.partition import LightPartition
 from repro.obs import StageTelemetry
 from repro.trace.records import TraceArrays
+from repro.trace.store import PartitionStore
 
 
 def synth_partition(n=600, span_s=5400.0, period=98.0, speed=None, seed=0, iid=0):
@@ -52,7 +53,7 @@ class TestIdentifyManyContainment:
         key = sorted(partitions)[0]
         city = dict(partitions)
         city[key] = city[key].time_window(0.0, 4200.0)
-        ests, fails = identify_many(city, 5400.0, serial=True)
+        ests, fails = identify_many(city, 5400.0, backend="serial")
         assert len(ests) + len(fails) == len(city)
         assert key in fails
         assert fails[key].error_type == "InsufficientDataError"
@@ -65,9 +66,9 @@ class TestIdentifyManyContainment:
         city[key] = LightPartition(
             p.intersection_id, p.approach, p.trace, p.segment_id, np.empty(3)
         )
-        # Both execution modes must survive — the historical failure was
-        # the ValueError escaping a pmap worker mid-chunk.
-        for kwargs in ({"serial": True}, {"max_workers": 2}):
+        # In-process and pooled runs must survive — the historical
+        # failure was the ValueError escaping a pmap worker mid-chunk.
+        for kwargs in ({"backend": "serial"}, {"backend": "shard", "max_workers": 2}):
             ests, fails = identify_many(city, 5400.0, **kwargs)
             assert key in fails
             assert fails[key].error_type == "ValueError"
@@ -79,7 +80,7 @@ class TestIdentifyManyContainment:
         dead = synth_partition(speed=0.0)
         healthy = synth_partition(seed=1, iid=1)
         city = {dead.key: dead, healthy.key: healthy}
-        ests, fails = identify_many(city, 5400.0, serial=True)
+        ests, fails = identify_many(city, 5400.0, backend="serial")
         assert len(ests) + len(fails) == 2
         assert healthy.key in ests or healthy.key in fails  # run completed
 
@@ -87,11 +88,60 @@ class TestIdentifyManyContainment:
         def boom(*args, **kwargs):
             raise RuntimeError("injected changepoint crash")
 
-        monkeypatch.setattr(pipeline_mod, "find_signal_change", boom)
-        ests, fails = identify_many(partitions, 5400.0, serial=True)
+        monkeypatch.setattr(batch_mod, "find_signal_change", boom)
+        ests, fails = identify_many(partitions, 5400.0, backend="serial")
         assert not ests
         assert all(f.error_type == "RuntimeError" for f in fails.values())
         assert all(f.stage == "changepoint" for f in fails.values())
+
+
+    def test_superposition_kernel_crash_fails_only_its_light(
+        self, partitions, monkeypatch
+    ):
+        ref_est, ref_fail = identify_many(partitions, 5400.0, backend="batched")
+        key = sorted(ref_est)[0]
+        cfg = PipelineConfig()
+        target, _v = PartitionStore.from_partitions(partitions).window_samples(
+            key, 5400.0 - cfg.phase_window_s, 5400.0, cfg.max_sample_dist_m
+        )
+        real = batch_mod.cycle_profile_batch
+
+        def breaks_on_target(entries, **kwargs):
+            if any(np.array_equal(t, target) for t, *_rest in entries):
+                raise RuntimeError("injected superposition crash")
+            return real(entries, **kwargs)
+
+        monkeypatch.setattr(batch_mod, "cycle_profile_batch", breaks_on_target)
+        est, fail = identify_many(partitions, 5400.0, backend="batched")
+        assert sorted(fail) == sorted(set(ref_fail) | {key})
+        assert fail[key].stage == "superposition"
+        assert fail[key].error_type == "RuntimeError"
+        assert fail[key].message == "injected superposition crash"
+        assert sorted(est) == sorted(set(ref_est) - {key})
+        for other in est:
+            a, b = est[other], ref_est[other]
+            assert (a.cycle_s, a.red_s, a.schedule.offset_s) == (
+                b.cycle_s, b.red_s, b.schedule.offset_s
+            )
+            assert (a.change.red_to_green_s, a.change.green_to_red_s) == (
+                b.change.red_to_green_s, b.change.green_to_red_s
+            )
+
+
+class TestIdentifyLightRaises:
+    def test_original_exception_and_stage(self, partitions, monkeypatch):
+        class Injected(Exception):
+            pass
+
+        def boom(*args, **kwargs):
+            raise Injected("injected changepoint crash")
+
+        monkeypatch.setattr(batch_mod, "find_signal_change", boom)
+        tel = StageTelemetry()
+        with pytest.raises(Injected, match="injected changepoint crash"):
+            identify_light(partitions[sorted(partitions)[0]], 5400.0, telemetry=tel)
+        assert tel.last_stage == "changepoint"
+        assert tel.counters["samples_primary"] > 0
 
 
 class TestRedClamp:
@@ -107,22 +157,22 @@ class TestRedClamp:
         # Border-interval estimator returning ~0 used to hit
         # check_positive("red_s") inside find_signal_change.
         monkeypatch.setattr(
-            pipeline_mod, "estimate_red_duration",
+            batch_mod, "estimate_red_duration",
             lambda *a, **k: self._degenerate_red(0.0),
         )
         key = sorted(partitions)[0]
         est = identify_light(
             partitions[key], 5400.0, config=PipelineConfig(refine_red=False)
         )
-        assert est.red_s >= pipeline_mod._MIN_RED_S
+        assert est.red_s >= batch_mod._MIN_RED_S
 
     def test_degenerate_refined_red_clamped(self, partitions, monkeypatch):
         monkeypatch.setattr(
-            pipeline_mod, "refine_red_from_change", lambda *a, **k: 0.0
+            batch_mod, "refine_red_from_change", lambda *a, **k: 0.0
         )
         key = sorted(partitions)[0]
         est = identify_light(partitions[key], 5400.0)
-        assert est.red_s >= pipeline_mod._MIN_RED_S
+        assert est.red_s >= batch_mod._MIN_RED_S
 
     def test_zero_duration_stops_filtered(self):
         durations = np.concatenate([np.zeros(20), np.full(8, 30.0)])

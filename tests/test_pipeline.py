@@ -91,13 +91,13 @@ class TestMeasuredInterval:
 
 class TestIdentifyMany:
     def test_estimates_for_every_light(self, partitions):
-        ests, fails = identify_many(partitions, 5400.0, serial=True)
+        ests, fails = identify_many(partitions, 5400.0, backend="serial")
         assert len(ests) + len(fails) == len(partitions)
         assert len(ests) >= 6
 
     @pytest.mark.slow
     def test_parallel_equals_serial(self, partitions):
-        serial, _ = identify_many(partitions, 5400.0, serial=True)
+        serial, _ = identify_many(partitions, 5400.0, backend="serial")
         parallel, _ = identify_many(partitions, 5400.0, max_workers=4)
         assert set(serial) == set(parallel)
         for key in serial:
@@ -140,16 +140,16 @@ class TestNoSharedDefaultConfig:
 
     def test_mutated_config_cannot_leak_between_calls(self, partitions):
         key = sorted(partitions)[0]
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
 
         # a caller passes (and then corrupts) its own config ...
         cfg = PipelineConfig()
-        identify_many({key: partitions[key]}, 5400.0, serial=True, config=cfg)
+        identify_many({key: partitions[key]}, 5400.0, backend="serial", config=cfg)
         object.__setattr__(cfg, "window_s", 1.0)
         object.__setattr__(cfg, "use_enhancement", False)
 
         # ... later default-config calls must be unaffected
-        out = identify_many(partitions, 5400.0, serial=True)
+        out = identify_many(partitions, 5400.0, backend="serial")
         assert sorted(out[0]) == sorted(ref[0])
         assert sorted(out[1]) == sorted(ref[1])
         for k in ref[0]:

@@ -3,8 +3,8 @@
 Covers the mutation layer (``StreamStore.append`` / targeted cache
 invalidation in ``PartitionStore.append_partitions``), the session layer
 (result caching, ``IncrementalUpdate`` accounting, online plan-change
-detection), the ``backend="stream"`` seam in ``identify_many``, the
-per-chunk telemetry in ``RunReport``, and the replay harness.  The
+detection), one-shot parity with ``identify_many``, the per-chunk
+telemetry in ``RunReport``, and the replay harness.  The
 bit-for-bit replay-parity oracle itself lives in
 ``tests/test_stream_parity.py``.
 """
@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core import PipelineConfig, identify_many
-from repro.core.pipeline import BACKENDS
 from repro.matching.partition import LightPartition
 from repro.obs import ChunkStats, RunReport
 from repro.scenario import synthetic_lights, synthetic_partitions
@@ -231,16 +230,16 @@ class TestStreamSession:
         )
 
     def test_identify_many_stream_backend_bitwise(self, partitions):
+        """A session fed everything at once is identify_many, bit for bit."""
         ref = identify_many(partitions, 5400.0, backend="batched")
-        out = identify_many(partitions, 5400.0, backend="stream")
+        session = StreamSession(monitor=False)
+        session.ingest(dict(partitions), refresh=False)
+        out = session.evaluate(5400.0)
         assert sorted(out[0]) == sorted(ref[0])
         assert sorted(out[1]) == sorted(ref[1])
         for key in ref[0]:
             assert out[0][key].cycle_s == ref[0][key].cycle_s
             assert out[0][key].schedule.offset_s == ref[0][key].schedule.offset_s
-
-    def test_stream_listed_as_backend(self):
-        assert "stream" in BACKENDS
 
 
 class TestCoherenceAudit:

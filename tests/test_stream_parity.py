@@ -78,7 +78,7 @@ class TestReplayParityOracle:
         """Transitivity spot-check: the stream also matches plain serial."""
         rng = np.random.default_rng(7)
         chunks = split_random(partitions, 4, rng=rng)
-        ref = identify_many(partitions, 5400.0, serial=True)
+        ref = identify_many(partitions, 5400.0, backend="serial")
         out = _stream_replay(partitions, chunks, 5400.0)
         _assert_parity(ref, out, "stream/vs-serial")
 

@@ -1,6 +1,7 @@
 """Unit tests for the process-pool fan-out utilities."""
 
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -107,6 +108,16 @@ class TestPmapOnError:
             assert out[i].error_type == "ValueError"
             assert f"odd {i}" in out[i].message
             assert "ValueError" in out[i].traceback
+
+    def test_return_mode_keeps_the_exception_detached(self):
+        (err,) = pmap(fail_on_odd, [1], serial=True, on_error="return")
+        assert isinstance(err.exception, ValueError)
+        assert str(err.exception) == err.message
+        # no live traceback: it would pin the caller's frames, and the
+        # record itself, in a reference cycle
+        assert err.exception.__traceback__ is None
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone == err and clone.exception is None
 
     def test_return_mode_parallel_survives_poisoned_chunk(self):
         # items sharing a chunk with a poisoned one still complete

@@ -67,8 +67,7 @@ class LightFailure:
     stage:
         The pipeline stage that raised (``samples``, ``stops``,
         ``cycle``, ``red``, ``superposition``, ``changepoint``,
-        ``refine`` — or ``worker`` when the containment wrapper itself
-        died, e.g. an unpicklable result).
+        ``refine`` — or ``setup`` before the first stage).
     message:
         The exception message.
     """

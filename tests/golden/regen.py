@@ -12,7 +12,13 @@ its own oracle.
 
 from __future__ import annotations
 
-from .scenarios import ALL_GOLDEN_SCENARIOS, compute_payload, save_fixture
+from .scenarios import (
+    ALL_GOLDEN_SCENARIOS,
+    MONITOR_GOLDEN_SCENARIOS,
+    compute_monitor_payload,
+    compute_payload,
+    save_fixture,
+)
 
 
 def main() -> int:
@@ -24,6 +30,10 @@ def main() -> int:
             f"({len(payload['estimates'])} estimates, "
             f"{len(payload['failures'])} failures)"
         )
+    for mspec in MONITOR_GOLDEN_SCENARIOS:
+        payload = compute_monitor_payload(mspec)
+        save_fixture(mspec, payload)
+        print(f"wrote {mspec.path} ({len(payload['lights'])} monitored lights)")
     return 0
 
 

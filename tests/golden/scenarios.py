@@ -10,6 +10,7 @@ exactly: the comparison in ``tests/test_golden.py`` is bitwise.
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import asdict, dataclass
 from typing import Dict, Tuple, Union
@@ -108,6 +109,47 @@ ALL_GOLDEN_SCENARIOS: Tuple["AnyGoldenScenario", ...] = (
 )
 
 
+@dataclass(frozen=True)
+class MonitorGoldenScenario:
+    """One seeded §VII monitoring run pinned by a committed fixture.
+
+    A synthetic city whose every light switches plan at ``switch_at_s``
+    (``repro.scenario.synthetic_lights``), monitored by
+    :func:`repro.core.monitor.monitor_cycle`.  Light ``0:NS`` reports
+    nothing during ``dark_s``, so some of its windows are too sparse and
+    its series holds gaps.  The fixture pins every light's series and the
+    cycle-scan counters its windows accumulate.
+    """
+
+    name: str
+    n_intersections: int
+    rate_per_hour: float
+    seed: int
+    switch_at_s: float
+    horizon_s: float
+    every_s: float
+    window_s: float
+    dark_s: Tuple[float, float]
+
+    @property
+    def path(self) -> pathlib.Path:
+        return FIXTURE_DIR / f"golden_{self.name}.json"
+
+
+MONITOR_GOLDEN_SCENARIOS: Tuple[MonitorGoldenScenario, ...] = (
+    MonitorGoldenScenario(
+        "monitor", 2, 240.0, 4, 4500.0, 7200.0, 300.0, 1800.0, (2400.0, 4500.0)
+    ),
+)
+
+#: The counters a light's cycle scans leave in its telemetry.
+SCAN_COUNTERS = (
+    "cycle_candidates_scanned",
+    "cycle_refine_scans",
+    "cycle_subharmonic_scans",
+)
+
+
 def build_partitions(spec: AnyGoldenScenario):
     """Simulate the scenario and partition its trace (deterministic)."""
     if isinstance(spec, AdaptiveGoldenScenario):
@@ -180,12 +222,75 @@ def payload_of(spec: AnyGoldenScenario, estimates, failures) -> Dict:
     return payload
 
 
-def load_fixture(spec: AnyGoldenScenario) -> Dict:
+def build_monitor_partitions(spec: MonitorGoldenScenario):
+    """The monitored city's partitions (deterministic)."""
+    from repro.scenario import synthetic_lights, synthetic_partitions
+
+    lights = synthetic_lights(
+        spec.n_intersections, seed=spec.seed, switch_at_s=spec.switch_at_s
+    )
+    dark_lo, dark_hi = spec.dark_s
+    return synthetic_partitions(
+        lights, 0.0, spec.horizon_s,
+        rate_per_hour=spec.rate_per_hour, seed=spec.seed,
+        active={(0, "NS"): [(0.0, dark_lo), (dark_hi, spec.horizon_s)]},
+    )
+
+
+def _json_float(x: float):
+    """``None`` for NaN (NaN never compares equal), else the float."""
+    return None if math.isnan(x) else float(x)
+
+
+def compute_monitor_payload(spec: MonitorGoldenScenario, partitions=None) -> Dict:
+    """The monitor fixture payload: each light's series and scan counters.
+
+    The series comes from :func:`repro.core.monitor.monitor_cycle`.  The
+    counters come from re-running each of its windows through
+    ``identify_cycle_from_samples`` with a per-light telemetry.
+    """
+    from repro.core.cycle import identify_cycle_from_samples
+    from repro.core.monitor import monitor_cycle
+    from repro.obs import StageTelemetry
+    from repro.parallel.pool import run_guarded
+
+    if partitions is None:
+        partitions = build_monitor_partitions(spec)
+    payload: Dict = {"scenario": asdict(spec), "lights": {}}
+    for (iid, approach) in sorted(partitions):
+        part = partitions[(iid, approach)]
+        series = monitor_cycle(
+            part, 0.0, spec.horizon_s,
+            every_s=spec.every_s, window_s=spec.window_s,
+        )
+        tel = StageTelemetry()
+        for tau in series.t:
+            sub = part.time_window(tau - spec.window_s, tau)
+            run_guarded(
+                identify_cycle_from_samples,
+                sub.trace.t, sub.trace.speed_kmh, tau - spec.window_s, tau,
+                telemetry=tel,
+            )
+        payload["lights"][f"{iid}:{approach}"] = {
+            "t": [float(x) for x in series.t],
+            "cycle_s": [_json_float(x) for x in series.cycle_s],
+            "quality": [_json_float(x) for x in series.quality],
+            "n_errors": series.n_errors,
+            "counters": {
+                name: tel.counters.get(name, 0) for name in SCAN_COUNTERS
+            },
+        }
+    return payload
+
+
+def load_fixture(spec: Union[AnyGoldenScenario, MonitorGoldenScenario]) -> Dict:
     with open(spec.path, encoding="utf-8") as fp:
         return json.load(fp)
 
 
-def save_fixture(spec: AnyGoldenScenario, payload: Dict) -> None:
+def save_fixture(
+    spec: Union[AnyGoldenScenario, MonitorGoldenScenario], payload: Dict
+) -> None:
     with open(spec.path, "w", encoding="utf-8") as fp:
         json.dump(payload, fp, indent=2, sort_keys=True)
         fp.write("\n")

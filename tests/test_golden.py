@@ -15,7 +15,9 @@ import pytest
 
 from tests.golden.scenarios import (
     ALL_GOLDEN_SCENARIOS,
+    MONITOR_GOLDEN_SCENARIOS,
     build_partitions,
+    compute_monitor_payload,
     compute_payload,
     load_fixture,
     payload_of,
@@ -49,7 +51,7 @@ def golden_partitions(partitions):
 
 class TestGoldenFixtures:
     def test_all_fixtures_exist(self):
-        for spec in ALL_GOLDEN_SCENARIOS:
+        for spec in ALL_GOLDEN_SCENARIOS + MONITOR_GOLDEN_SCENARIOS:
             assert spec.path.exists(), (
                 f"missing fixture {spec.path}; run "
                 "`PYTHONPATH=src python -m tests.golden.regen`"
@@ -95,6 +97,20 @@ class TestGoldenFixtures:
 
     def test_fixture_floats_roundtrip_exactly(self):
         """The storage format itself cannot lose precision."""
-        for spec in ALL_GOLDEN_SCENARIOS:
+        for spec in ALL_GOLDEN_SCENARIOS + MONITOR_GOLDEN_SCENARIOS:
             payload = load_fixture(spec)
             assert json.loads(json.dumps(payload)) == payload
+
+
+class TestMonitorFixture:
+    """§VII monitoring: each light's 5-min series and its scan counters."""
+
+    @pytest.mark.parametrize("spec", MONITOR_GOLDEN_SCENARIOS, ids=lambda s: s.name)
+    def test_monitor_matches_fixture_exactly(self, spec):
+        expected = load_fixture(spec)
+        actual = json.loads(json.dumps(compute_monitor_payload(spec)))
+        assert expected["scenario"] == actual["scenario"], (
+            "scenario parameters drifted from the committed fixture"
+        )
+        for light in sorted(set(expected["lights"]) | set(actual["lights"])):
+            assert expected["lights"].get(light) == actual["lights"].get(light), light

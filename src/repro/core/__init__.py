@@ -10,7 +10,9 @@ intersection-based enhancement §V.B) → border-interval red duration
 from .changepoint import circular_moving_average, find_signal_change, stop_end_density
 from .cycle import (
     CycleConfig,
+    FoldScanner,
     fold_zscore,
+    fold_zscore_grid,
     stop_end_comb_zscore,
     identify_cycle,
     identify_cycle_from_samples,
@@ -38,9 +40,7 @@ from .monitor import (
 from .batch import (
     circular_moving_average_batch,
     cycle_profile_batch,
-    fold_zscore_grid,
     identify_batch,
-    scan_fold_vec,
     spectra_batch,
 )
 from .pipeline import BACKENDS, PipelineConfig, identify_light, identify_many
@@ -70,6 +70,8 @@ __all__ = [
     "identify_cycle_from_samples",
     "refine_cycle_by_folding",
     "fold_zscore",
+    "fold_zscore_grid",
+    "FoldScanner",
     "stop_end_comb_zscore",
     "spectrum",
     "LinkProgression",
@@ -102,8 +104,6 @@ __all__ = [
     "balanced_shards",
     "identify_batch",
     "spectra_batch",
-    "fold_zscore_grid",
-    "scan_fold_vec",
     "cycle_profile_batch",
     "circular_moving_average_batch",
     "RedConfig",

@@ -16,7 +16,7 @@ import pytest
 from repro.core import PipelineConfig, identify_light, identify_many
 from repro.core import batch as batch_mod
 from repro.core import monitor as monitor_mod
-from repro.core.cycle import CycleConfig, _scan_fold, identify_cycle_from_samples
+from repro.core.cycle import CycleConfig, FoldScanner, identify_cycle_from_samples
 from repro.core.monitor import monitor_cycle, repair_outliers
 from repro.core.redlight import estimate_red_duration
 from repro.core.signal_types import InsufficientDataError, RedEstimate
@@ -192,7 +192,7 @@ class TestScanBand:
         rng = np.random.default_rng(3)
         t = np.sort(rng.uniform(0.0, 3000.0, 400))
         v = np.cos(2 * np.pi * t / 100.1)
-        c, z = _scan_fold(t, v, 99.0, 1.0, 0.55, 4.0, 40.0, 100.0)
+        c, z = FoldScanner(t, v, 40.0, 100.0).scan(99.0, 1.0, 0.55, 4.0)
         assert c <= 100.0
         assert np.isfinite(z)
 

@@ -14,8 +14,10 @@ caches the identification pipeline re-derives per call on top of it:
   extracted once over the whole partition and time-windowed per spot;
 * ``mean_interval`` — the measured mean report interval, which never
   changes between time spots;
-* ``cache`` — an open memo dictionary the batched backend uses for
-  regularized grids and other per-(light, window) intermediates.
+* ``cache`` — an open memo dictionary for per-(light, window)
+  intermediates.  No pipeline stage fills it: the regularized speed
+  grid depends on the spot, so an ``evaluate_at_times`` sweep would
+  never reuse one.
 
 The store also travels cheaply across process boundaries: pickling
 ships the columns once per worker (via ``pmap(..., common=...)``), and
@@ -114,9 +116,11 @@ class PartitionStore:
         self._partitions: Dict[LightKey, Any] = {}
         self._stops: Dict[LightKey, Any] = {}
         self._intervals: Dict[LightKey, float] = {}
-        #: Open memo for per-(light, window) intermediates — the batched
-        #: backend parks regularized grids and enhanced sample windows
-        #: here so repeated ``evaluate_at_times`` spots reuse them.
+        #: Open memo for per-(light, window) intermediates.  Nothing in
+        #: the pipeline writes it: what a spot derives (the regularized
+        #: grid, the enhanced samples) depends on the spot's window, so a
+        #: sweep of spots would never hit.  The across-spot reuse is the
+        #: per-light caches above.
         #: Convention: memo keys are tuples whose element ``[1]`` is the
         #: owning :data:`LightKey` — :meth:`invalidate_light` relies on
         #: it to purge one light's entries without touching the rest.

@@ -126,14 +126,18 @@ class TestPoisonedCityParity:
 
 class TestStoreReuse:
     def test_store_reused_across_time_spots(self, partitions):
-        """One store across spots: cached grids must not change results."""
+        """One store across spots: its cached extractions keep results."""
         store = PartitionStore.from_partitions(partitions)
-        times = (4500.0, 5400.0, 5400.0)  # repeated spot hits the cache
+        key = sorted(partitions)[0]
+        times = (4500.0, 5400.0, 5400.0)  # a repeated spot too
+        stops = None
         for at in times:
             ref = identify_many(partitions, at, backend="serial")
             out = identify_many(store, at, backend="batched")
             _assert_parity(ref, out, f"store reuse at t={at}")
-        assert len(store.cache) > 0, "repeated spots should populate the cache"
+            if stops is None:
+                stops = store.stops(key)
+        assert store.stops(key) is stops, "later spots reuse the stop events"
 
     def test_store_roundtrip_partitions(self, partitions):
         store = PartitionStore.from_partitions(partitions)

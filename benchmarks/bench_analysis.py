@@ -37,8 +37,8 @@ def test_analyzer_budget():
     elapsed = time.perf_counter() - t0
 
     # phase split: the same files through per-file rules only — the
-    # difference is what the call-graph / effect / precision fixpoints
-    # and the program rules cost on top
+    # difference is what the call-graph / effect fixpoints and the
+    # program rules cost on top
     files = [
         (path, Path(path).read_text(encoding="utf-8"))
         for path in iter_python_files(roots)

@@ -41,13 +41,8 @@ REP014    a published ``Snapshot`` is never mutated afterwards
 REP015    quota reserves crossing an ``await`` are try/finally
           released
 REP016    publish events follow the capture/swap/set protocol
-REP017    no sub-float64 or precision-unproven value reaches a
-          parity-kernel parameter on any call chain (precision
-          lattice over the same fixpoint, ``numeric.py``)
 REP018    parity-reachable reductions are order-stable; ``math.fsum``
           only at allowlisted seams (none today)
-REP019    ``# repro: tolerance[ulp=N]``-marked code is reached only
-          through the ``repro/core/kernel_tier.py`` dispatch seam
 ========  ==========================================================
 
 Run it as ``python -m repro.analysis [paths...]``; suppress a single

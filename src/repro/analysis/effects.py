@@ -9,11 +9,9 @@ the two contracts the streaming backend's replay parity rests on:
 silently invalidate every derived cache layered on top; the store
 contract requires the matching ``invalidate_light`` (or an equivalent
 full cache drop) on every path that mutates.  Summaries record local
-data writes, memo fills (``store.cache[key] = ...``, checked against
-the tuple-key convention ``invalidate_light`` purges by), and
-invalidation calls — then propagate both bits to a fixpoint, so a
-public entry point that mutates *through* helpers is still required to
-invalidate.
+data writes and invalidation calls — then propagate both bits to a
+fixpoint, so a public entry point that mutates *through* helpers is
+still required to invalidate.
 
 **Process isolation** (REP008).  An object that escapes into a
 ``pmap`` / ``pmap_seeded`` / ``ProcessPoolExecutor`` fan-out is pickled
@@ -58,9 +56,6 @@ that the message is unwanted.
 from __future__ import annotations
 
 import ast
-import io
-import re
-import tokenize
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -80,13 +75,10 @@ from .callgraph import (
     module_path,
     own_nodes,
 )
-from .numeric import NumericAnalysis, build_numeric
 
 __all__ = [
     "STORE_CLASSES",
     "DATA_ATTRS",
-    "VIEW_ATTRS",
-    "CACHE_ATTR",
     "CONSTRUCTION_EXEMPT",
     "BLOCKING_KERNEL_FILES",
     "Site",
@@ -104,15 +96,6 @@ STORE_CLASSES = frozenset({"PartitionStore", "StreamStore"})
 #: Store *data* state: mutating any of these changes what every derived
 #: cache was computed from, so a full invalidation must accompany it.
 DATA_ATTRS = frozenset({"_columns", "_offsets", "_regular_keys", "_irregular"})
-
-#: Store *view* caches: per-light lazy extractions, purged (not filled)
-#: by ``invalidate_light``.  Filling them is safe; popping them is an
-#: invalidation effect.
-VIEW_ATTRS = frozenset({"_partitions", "_stops", "_intervals"})
-
-#: The open memo dictionary; keys must be tuples carrying the owning
-#: LightKey at element [1] so ``invalidate_light`` can purge per light.
-CACHE_ATTR = "cache"
 
 #: Entry points that fan work out into processes: (function qualname
 #: suffix, parameter names whose arguments escape).  ``func`` itself is
@@ -195,9 +178,7 @@ class EffectSummary:
     qualname: str
     # -- cache coherence ------------------------------------------------
     data_writes: List[Site] = field(default_factory=list)
-    bad_memo_fills: List[Site] = field(default_factory=list)
     invalidates_full: bool = False
-    invalidates_derived: bool = False
     # -- process isolation ---------------------------------------------
     escapes: List[Tuple[str, Site]] = field(default_factory=list)
     mutations: List[Tuple[str, Site]] = field(default_factory=list)
@@ -251,18 +232,6 @@ class Program:
     #: roots over call edges *and* function references (``_run_writer``
     #: hands ``self._apply`` to ``run_guarded`` / the executor).
     writer_reachable: Set[str] = field(default_factory=set)
-    #: Precision-lattice fixpoint over the same call graph: per-function
-    #: parameter/return precision, parity-sink conduits, and the
-    #: collected sub-float64 violations REP017 reports.
-    numeric: NumericAnalysis = field(default_factory=NumericAnalysis)
-    #: ``# repro: tolerance[ulp=N]`` markers (the compiled tier's
-    #: boundary annotation): function qualname -> declared ULP budget.
-    tolerance_markers: Dict[str, int] = field(default_factory=dict)
-    #: Marker lines that failed to parse or sit on no function
-    #: definition: ``(path, lineno, reason)`` — REP019 reports them.
-    tolerance_orphans: List[Tuple[str, int, str]] = field(
-        default_factory=list
-    )
 
 
 SuppressionCheck = Callable[[str, int, str], bool]
@@ -285,34 +254,16 @@ def _is_store_expr(fn: FunctionInfo, node: ast.expr) -> bool:
     return t is not None and t.split(".")[-1] in STORE_CLASSES
 
 
-def _store_attr_target(
-    fn: FunctionInfo, node: ast.expr
-) -> Optional[Tuple[str, bool]]:
-    """``(attr, subscripted)`` when *node* targets ``<store>.<attr>``.
+def _store_attr_target(fn: FunctionInfo, node: ast.expr) -> Optional[str]:
+    """``attr`` when *node* targets ``<store>.<attr>``.
 
     Handles both ``store.attr`` and ``store.attr[...]`` shapes.
     """
-    subscripted = False
     if isinstance(node, ast.Subscript):
         node = node.value
-        subscripted = True
     if isinstance(node, ast.Attribute) and _is_store_expr(fn, node.value):
-        return node.attr, subscripted
+        return node.attr
     return None
-
-
-def _tuple_valued(node: ast.expr, fn_node: ast.AST) -> bool:
-    """Whether a memo-key expression is (bound to) a tuple of >= 2 items."""
-    if isinstance(node, ast.Tuple):
-        return len(node.elts) >= 2
-    if isinstance(node, ast.Name):
-        for sub in ast.walk(fn_node):
-            if isinstance(sub, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == node.id for t in sub.targets
-            ):
-                if isinstance(sub.value, ast.Tuple) and len(sub.value.elts) >= 2:
-                    return True
-    return False
 
 
 def _root_name(node: ast.expr) -> Optional[str]:
@@ -333,7 +284,7 @@ def _local_cache_effects(
     suppressed: SuppressionCheck,
     used: Set[Tuple[str, int, str]],
 ) -> None:
-    """Store writes / memo fills / invalidations in *fn*'s own body."""
+    """Store data writes / invalidations in *fn*'s own body."""
     if fn.name in CONSTRUCTION_EXEMPT:
         # construction and (un)pickling build the store before it is
         # shared; there is nothing cached yet to invalidate
@@ -347,75 +298,25 @@ def _local_cache_effects(
         elif isinstance(node, ast.Delete):
             targets = list(node.targets)
         for tgt in targets:
-            hit = _store_attr_target(fn, tgt)
-            if hit is None:
+            attr = _store_attr_target(fn, tgt)
+            if attr not in DATA_ATTRS:
                 continue
-            attr, subscripted = hit
             lineno = getattr(tgt, "lineno", node.lineno)
             col = getattr(tgt, "col_offset", 0)
-            if attr in DATA_ATTRS:
-                if suppressed(fn.path, lineno, "REP007"):
-                    used.add((fn.path, lineno, "REP007"))
-                    continue
-                summary.data_writes.append(
-                    Site(fn.path, lineno, col, f"write to store.{attr}")
-                )
-            elif attr == CACHE_ATTR:
-                if isinstance(node, ast.Delete) or not subscripted:
-                    # ``del store.cache[...]`` / rebinding the whole memo
-                    # is a purge, i.e. a derived invalidation
-                    summary.invalidates_derived = True
-                elif isinstance(node, ast.Assign) and isinstance(
-                    tgt, ast.Subscript
-                ):
-                    if not _tuple_valued(tgt.slice, fn.node):
-                        if suppressed(fn.path, lineno, "REP007"):
-                            used.add((fn.path, lineno, "REP007"))
-                            continue
-                        summary.bad_memo_fills.append(
-                            Site(
-                                fn.path,
-                                lineno,
-                                col,
-                                "memo fill with a non-tuple key",
-                            )
-                        )
-            elif attr in VIEW_ATTRS:
-                if isinstance(node, ast.Delete):
-                    summary.invalidates_derived = True
-                # fills of the per-light view caches are safe
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute):
-                # ``store.invalidate_light(...)``
-                if func.attr == "invalidate_light" and _is_store_expr(
-                    fn, func.value
-                ):
-                    derived_only = any(
-                        kw.arg == "derived_only"
-                        and not (
-                            isinstance(kw.value, ast.Constant)
-                            and kw.value.value is False
-                        )
-                        for kw in node.keywords
-                    )
-                    if derived_only:
-                        summary.invalidates_derived = True
-                    else:
-                        summary.invalidates_full = True
-                elif func.attr == "_init_derived" and _is_store_expr(
-                    fn, func.value
-                ):
-                    summary.invalidates_full = True
-                # ``store._partitions.pop(...)`` / ``store.cache.clear()``
-                elif func.attr in ("pop", "clear") and isinstance(
-                    func.value, ast.Attribute
-                ):
-                    inner = _store_attr_target(fn, func.value)
-                    if inner is not None and (
-                        inner[0] in VIEW_ATTRS or inner[0] == CACHE_ATTR
-                    ):
-                        summary.invalidates_derived = True
+            if suppressed(fn.path, lineno, "REP007"):
+                used.add((fn.path, lineno, "REP007"))
+                continue
+            summary.data_writes.append(
+                Site(fn.path, lineno, col, f"write to store.{attr}")
+            )
+        # ``store.invalidate_light(...)`` / ``store._init_derived()``
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("invalidate_light", "_init_derived")
+            and _is_store_expr(fn, node.func.value)
+        ):
+            summary.invalidates_full = True
 
 
 def _escape_sites(fn: FunctionInfo, node: ast.Call) -> List[str]:
@@ -1007,88 +908,6 @@ def expr_unordered(
 
 
 # ----------------------------------------------------------------------
-# Tolerance-boundary markers (the compiled tier's annotation, REP019)
-# ----------------------------------------------------------------------
-
-#: Strict grammar: a trailing ``# repro: tolerance[ulp=N]`` on a
-#: ``def`` line declares the function tolerance-tier with an N-ULP
-#: divergence budget against the exact float64 kernel.  Anchored at
-#: the comment's start so prose *mentioning* the marker never parses.
-_TOLERANCE_RE = re.compile(r"#\s*repro:\s*tolerance\[ulp=(\d+)\]\s*$")
-#: Anything that *opens* a comment like a tolerance marker but fails
-#: the strict grammar is reported rather than silently ignored — a
-#: typo here would silently open the parity tier to a relaxed kernel.
-_TOLERANCE_HINT_RE = re.compile(r"#\s*repro:\s*tolerance")
-
-
-def _collect_tolerance_markers(
-    files: Sequence[Tuple[str, str]], graph: CallGraph
-) -> Tuple[Dict[str, int], List[Tuple[str, int, str]]]:
-    """``(qualname -> ulp, orphans)`` for every marker in *files*.
-
-    A well-formed marker must sit on a function's ``def`` signature
-    (any line from ``def`` through the first body statement, so
-    multi-line signatures can carry it on the closing paren).  Markers
-    elsewhere, and malformed spellings, come back as orphans with a
-    reason string.
-
-    Only real ``COMMENT`` tokens are scanned — docstrings and string
-    literals that merely *describe* the marker grammar never register
-    — and the marker must open the comment, so ``#:`` field notes
-    mentioning tolerance stay inert.
-    """
-    by_path: Dict[str, List[FunctionInfo]] = {}
-    for fn in graph.functions.values():
-        by_path.setdefault(fn.path, []).append(fn)
-    markers: Dict[str, int] = {}
-    orphans: List[Tuple[str, int, str]] = []
-    for path, source in files:
-        fns = by_path.get(path, [])
-        try:
-            tokens = list(
-                tokenize.generate_tokens(io.StringIO(source).readline)
-            )
-        except (tokenize.TokenError, IndentationError, SyntaxError):
-            continue  # unparsable files are REP001's problem
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            lineno = tok.start[0]
-            if _TOLERANCE_HINT_RE.match(tok.string) is None:
-                continue
-            match = _TOLERANCE_RE.match(tok.string)
-            if match is None:
-                orphans.append(
-                    (
-                        path,
-                        lineno,
-                        "malformed tolerance marker (expected "
-                        "'# repro: tolerance[ulp=N]')",
-                    )
-                )
-                continue
-            owner: Optional[FunctionInfo] = None
-            for fn in fns:
-                body = getattr(fn.node, "body", None)
-                body_start = body[0].lineno if body else fn.lineno + 1
-                if fn.lineno <= lineno < max(body_start, fn.lineno + 1):
-                    owner = fn
-                    break
-            if owner is None:
-                orphans.append(
-                    (
-                        path,
-                        lineno,
-                        "tolerance marker must sit on a function's "
-                        "def signature",
-                    )
-                )
-                continue
-            markers[owner.qualname] = int(match.group(1))
-    return markers, orphans
-
-
-# ----------------------------------------------------------------------
 # Shared pytest fixtures
 # ----------------------------------------------------------------------
 
@@ -1216,9 +1035,6 @@ def build_program(
     _propagate_order_taint(graph, effects)
     _collect_block_anchors(graph, effects)
     writer_roots, writer_reachable = _writer_closure(graph)
-    tolerance_markers, tolerance_orphans = _collect_tolerance_markers(
-        files, graph
-    )
     return Program(
         graph=graph,
         effects=effects,
@@ -1226,7 +1042,4 @@ def build_program(
         used_suppressions=used,
         writer_roots=writer_roots,
         writer_reachable=writer_reachable,
-        numeric=build_numeric(graph),
-        tolerance_markers=tolerance_markers,
-        tolerance_orphans=tolerance_orphans,
     )

@@ -31,7 +31,6 @@ from .effects import (
     expr_unordered,
     unordered_locals,
 )
-from .numeric import LEVEL_NAMES, PrecisionViolation
 
 __all__ = [
     "Finding",
@@ -658,36 +657,24 @@ def _in_library(path: str) -> bool:
 class StoreCoherenceRule(ProgramRule):
     """REP007 — store mutations must carry their cache invalidation.
 
-    ``PartitionStore``/``StreamStore`` layer three caches over the
-    column data (partition views, stop events, the open memo); a write
-    to a data attribute that no ``invalidate_light`` / ``_init_derived``
-    accompanies — on any path, through any depth of helpers — leaves
-    those caches describing rows that no longer exist.  PR 4's
-    append path got this right by convention; this rule makes the
-    convention load-bearing.  Memo fills are additionally checked
-    against the tuple-key convention ``invalidate_light`` purges by.
+    ``PartitionStore``/``StreamStore`` layer three per-light caches over
+    the column data (partition views, stop events, mean report
+    intervals); a write to a data attribute that no
+    ``invalidate_light`` / ``_init_derived`` accompanies — on any path,
+    through any depth of helpers — leaves those caches describing rows
+    that no longer exist.  PR 4's append path got this right by
+    convention; this rule makes the convention load-bearing.
     """
 
     id = "REP007"
-    summary = "store column/memo write not covered by invalidate_light/cache drop"
+    summary = "store column write not covered by invalidate_light/cache drop"
 
     def check_program(self, program: Program) -> Iterator[Finding]:
         for qualname in sorted(program.graph.functions):
             fn = program.graph.functions[qualname]
-            if not _in_library(fn.path):
+            if not _in_library(fn.path) or fn.name in CONSTRUCTION_EXEMPT:
                 continue
             summary = program.effects[qualname]
-            for site in summary.bad_memo_fills:
-                yield self.finding_at(
-                    site.path,
-                    site.lineno,
-                    site.col,
-                    f"`{qualname}` fills store.cache with a key that is not "
-                    f"a (kind, LightKey, ...) tuple; invalidate_light cannot "
-                    f"purge it, so appends leave stale hits behind",
-                )
-            if fn.name in CONSTRUCTION_EXEMPT:
-                continue
             if not summary.writes_data or summary.invalidates:
                 continue
             if not (fn.is_public or not program.graph.callers_of(qualname)):
@@ -704,7 +691,7 @@ class StoreCoherenceRule(ProgramRule):
                 site.col,
                 f"`{qualname}` mutates store data ({site.detail}) with no "
                 f"invalidate_light/_init_derived on the path; partition/stop/"
-                f"interval views and memo entries go stale",
+                f"interval views go stale",
             )
 
 
@@ -1609,75 +1596,6 @@ class UnusedSuppressionRule(Rule):
         return iter(())
 
 
-class NumericParityRule(ProgramRule):
-    """REP017 — no sub-float64 value reaches a parity-kernel parameter.
-
-    REP005 polices the *spelling* of dtypes inside the kernel files;
-    it cannot see a float32 (or dtype-unproven) array produced three
-    calls away and handed to ``fold_zscore_grid`` through helpers.
-    This rule consumes the precision-lattice fixpoint
-    (:mod:`repro.analysis.numeric`): every parameter of every function
-    in a parity file is a sink, sink-ness flows backward through
-    parameter conduits, and any tracked value whose level is sub-f64
-    or unknown meeting a sink is a finding — charged at the public
-    entry of the call chain (REP007's charging convention), with the
-    full chain down to the kernel named in the message.
-
-    Producers prove exactness with an explicit seam blessing
-    (``.astype(np.float64)`` / ``np.asarray(..., dtype=np.float64)``)
-    at the boundary where raw samples enter the kernel tier — a
-    bit-exact no-op on data that already honors the store's float64
-    contract, and the cut point the canary tests exercise.
-    """
-
-    id = "REP017"
-    summary = "sub-float64 or unproven-precision value reaches a parity-kernel parameter"
-
-    def _entry(
-        self, program: Program, violation: PrecisionViolation
-    ) -> Tuple[str, int, int, List[str]]:
-        """Anchor site + caller chain, walked up to a public entry."""
-        graph = program.graph
-        callers = program.numeric.callers
-        chain_up = [violation.qualname]
-        site = (violation.path, violation.lineno, violation.col)
-        seen = {violation.qualname}
-        current = violation.qualname
-        while True:
-            fn = graph.functions[current]
-            if fn.is_public:
-                break
-            candidates = sorted(
-                c for c in callers.get(current, []) if c[0] not in seen
-            )
-            if not candidates:
-                break
-            caller_qual, line, col = candidates[0]
-            caller_fn = graph.functions[caller_qual]
-            site = (caller_fn.path, line, col)
-            chain_up.append(caller_qual)
-            seen.add(caller_qual)
-            current = caller_qual
-        chain_up.reverse()
-        return site[0], site[1], site[2], chain_up
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for violation in program.numeric.violations:
-            path, line, col, chain_up = self._entry(program, violation)
-            links = chain_up + list(violation.kernel_chain)
-            chain = " -> ".join(q.rsplit(".", 1)[-1] for q in links)
-            kernel = violation.kernel_chain[-1]
-            yield self.finding_at(
-                path,
-                line,
-                col,
-                f"{LEVEL_NAMES[violation.level]} value reaches float64 "
-                f"parity-kernel parameter `{violation.param}` of `{kernel}` "
-                f"via {chain}; bless the seam with .astype(np.float64) or "
-                f"pin the producer's dtype",
-            )
-
-
 class ReductionOrderRule(ProgramRule):
     """REP018 — parity-reachable reductions must be order-stable.
 
@@ -1773,79 +1691,6 @@ class ReductionOrderRule(ProgramRule):
                             break
 
 
-#: The sanctioned dispatch seam between the exact float64 tier and the
-#: (future compiled) tolerance tier.  Only code in this module may
-#: call or reference ``tolerance[ulp=N]``-marked functions.
-KERNEL_TIER_SEAM = "repro/core/kernel_tier.py"
-
-
-class ToleranceBoundaryRule(ProgramRule):
-    """REP019 — the exact/tolerance kernel boundary crosses one seam.
-
-    The compiled-kernel roadmap item relaxes bit-for-bit parity to a
-    documented ULP budget *behind an explicit flag*.  Statically that
-    contract is: a function marked ``# repro: tolerance[ulp=N]`` may
-    only be called (or passed as a function reference) by other marked
-    functions or by the ``kernel_tier`` dispatch module; nothing in a
-    parity-kernel file may carry the marker; and a marker that fails
-    the strict grammar, or sits on no ``def``, is itself a finding —
-    a typo must not silently open the parity tier to a relaxed kernel.
-    Golden-fixture and parity-oracle entry points therefore cannot
-    reach tolerance-tier code except through the seam's explicit
-    ``tier=`` dispatch.
-    """
-
-    id = "REP019"
-    summary = "tolerance-tier function reached outside the kernel_tier dispatch seam"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        graph = program.graph
-        marked = program.tolerance_markers
-        for path, line, reason in program.tolerance_orphans:
-            yield self.finding_at(path, line, 0, reason)
-        for qualname in sorted(marked):
-            fn = graph.functions.get(qualname)
-            if fn is None:
-                continue
-            if module_path(fn.path) in PARITY_FILES:
-                yield self.finding_at(
-                    fn.path,
-                    fn.lineno,
-                    fn.node.col_offset,
-                    f"`{qualname}` declares tolerance[ulp="
-                    f"{marked[qualname]}] inside a parity-kernel file; the "
-                    f"exact float64 tier admits no tolerance — relaxed "
-                    f"kernels live behind the kernel_tier seam",
-                )
-        for qualname in sorted(graph.functions):
-            fn = graph.functions[qualname]
-            if qualname in marked or module_path(fn.path) == KERNEL_TIER_SEAM:
-                continue
-            for call_site in fn.calls:
-                if call_site.callee in marked:
-                    yield self.finding_at(
-                        fn.path,
-                        call_site.lineno,
-                        call_site.node.col_offset,
-                        f"`{qualname}` calls tolerance-tier "
-                        f"`{call_site.callee}` (ulp="
-                        f"{marked[call_site.callee]}) directly; only the "
-                        f"kernel_tier dispatch seam may cross the "
-                        f"exact/tolerance boundary",
-                    )
-            for ref in fn.refs:
-                if ref.target in marked:
-                    yield self.finding_at(
-                        fn.path,
-                        ref.lineno,
-                        ref.col,
-                        f"`{qualname}` hands a reference to tolerance-tier "
-                        f"`{ref.target}` across the boundary; route kernel "
-                        f"selection through kernel_tier's explicit "
-                        f"tier= dispatch",
-                    )
-
-
 ALL_RULES: Sequence[Rule] = (
     MutableDefaultRule(),
     BroadExceptRule(),
@@ -1865,9 +1710,7 @@ PROGRAM_RULES: Sequence[ProgramRule] = (
     PublishOnceRule(),
     QuotaRollbackRule(),
     PublishEventRule(),
-    NumericParityRule(),
     ReductionOrderRule(),
-    ToleranceBoundaryRule(),
 )
 
 AUDIT_RULES: Sequence[Rule] = (UnusedSuppressionRule(),)

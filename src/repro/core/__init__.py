@@ -28,7 +28,6 @@ from .coordination import (
 from .enhancement import choose_primary, enhance_samples, mirror_speeds
 from .highfreq import HighFreqConfig, identify_light_highfreq, start_events
 from .interpolation import bucket_mean, regularize
-from .kernel_tier import EXACT_TIER, KERNEL_TIERS, TOLERANCE_TIER, resolve_kernel
 from .monitor import (
     HistoricalProfile,
     MonitorSeries,
@@ -83,10 +82,6 @@ __all__ = [
     "mirror_speeds",
     "bucket_mean",
     "regularize",
-    "EXACT_TIER",
-    "KERNEL_TIERS",
-    "TOLERANCE_TIER",
-    "resolve_kernel",
     "HighFreqConfig",
     "identify_light_highfreq",
     "start_events",

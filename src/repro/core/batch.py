@@ -271,14 +271,7 @@ def _prepare_light(
             dt=ccfg.dt, kind=ccfg.kind, min_samples=ccfg.min_samples,
         )
 
-    # The store→kernel seam: everything the scoring passes feed into the
-    # parity kernels is pinned to float64 here.  Bit-exact no-ops on the
-    # store's float64 columns; REP017 proves nothing below float64 can
-    # slip through if a producer ever changes.
-    return dict(
-        t=t.astype(np.float64), v=v.astype(np.float64), enhanced=enhanced,
-        stops=stops, stop_ends=stop_ends, sig=sig,
-    )
+    return dict(t=t, v=v, enhanced=enhanced, stops=stops, stop_ends=stop_ends, sig=sig)
 
 
 def _score_light(
@@ -343,10 +336,7 @@ def _score_light(
             )
         tel.count("samples_phase", int(t_ph.shape[0]))
 
-    # Same store→kernel seam as _prepare_light: the phase-window samples
-    # feed cycle_profile_batch, so their dtype is pinned at the boundary.
-    st.update(cyc=cyc, cycle_s=cycle_s, red=red, red_s=red_s,
-              t_ph=t_ph.astype(np.float64), v_ph=v_ph.astype(np.float64))
+    st.update(cyc=cyc, cycle_s=cycle_s, red=red, red_s=red_s, t_ph=t_ph, v_ph=v_ph)
     return st
 
 

@@ -38,11 +38,15 @@ __all__ = [
 class MonitorSeries:
     """Periodic cycle-length estimates for one light.
 
-    ``cycle_s`` is NaN where the window was too sparse; ``quality`` is
-    the DFT peak prominence of each window.  ``n_errors`` counts
-    windows that crashed with something *other* than data poverty
-    (degenerate inputs, numerical pathologies) — those windows are NaN
-    too, but a nonzero count flags a light worth investigating.
+    ``cycle_s`` is NaN where the window was too sparse.  ``quality`` is
+    each window's ``CycleEstimate.quality`` (see there): with the default
+    config the winner's epoch-folding z-score, and the DFT peak over the
+    median in-band magnitude only where that z-score is not finite.  It
+    is recorded, not used: nothing downstream weighs windows by it.
+    ``n_errors`` counts windows that crashed with something *other*
+    than data poverty (degenerate inputs, numerical pathologies) — those
+    windows are NaN too, but a nonzero count flags a light worth
+    investigating.
     """
 
     t: np.ndarray

@@ -5,11 +5,11 @@ a ``PartitionStore`` and translates each arriving chunk into the
 minimal cache damage —
 
 * a **touched** light (one that received records) loses its partition
-  view, stop events, mean report interval, and memo entries;
-* its perpendicular partner at the same intersection loses its **memo
-  entries only**: §V.B enhancement mirrors the partner's samples into
-  sparse windows, so a partner's regularized grid may embed the touched
-  light's data, but its own records/stops/interval are untouched;
+  view, stop events and mean report interval;
+* its perpendicular partner at the same intersection keeps every
+  cache, since its own records/stops/interval are untouched, but is
+  **dirty**: §V.B enhancement mirrors the touched light's samples into
+  the partner's sparse windows, so the partner's estimate may change;
 * every other light's caches survive verbatim.
 
 The **dirty** set (touched lights plus their present partners) is what
@@ -93,9 +93,8 @@ class StreamStore:
         for key in touched:
             partner = partner_of(key)
             if partner in self.store and partner not in touched:
-                # The partner's own records are intact; only its
-                # enhancement-derived memo entries can embed stale data.
-                self.store.invalidate_light(partner, derived_only=True)
+                # The partner's own records are intact, but enhancement
+                # may mirror the touched light's samples into it.
                 dirty.add(partner)
         for key in dirty:
             self.versions[key] = self.versions.get(key, 0) + 1

@@ -13,11 +13,10 @@ caches the identification pipeline re-derives per call on top of it:
 * ``stops`` — the per-light :class:`~repro.core.stops.StopEvents`,
   extracted once over the whole partition and time-windowed per spot;
 * ``mean_interval`` — the measured mean report interval, which never
-  changes between time spots;
-* ``cache`` — an open memo dictionary for per-(light, window)
-  intermediates.  No pipeline stage fills it: the regularized speed
-  grid depends on the spot, so an ``evaluate_at_times`` sweep would
-  never reuse one.
+  changes between time spots.
+
+Nothing per-window is cached: the regularized speed grid depends on the
+spot, so an ``evaluate_at_times`` sweep would never reuse one.
 
 The store also travels cheaply across process boundaries: pickling
 ships the columns once per worker (via ``pmap(..., common=...)``), and
@@ -116,15 +115,6 @@ class PartitionStore:
         self._partitions: Dict[LightKey, Any] = {}
         self._stops: Dict[LightKey, Any] = {}
         self._intervals: Dict[LightKey, float] = {}
-        #: Open memo for per-(light, window) intermediates.  Nothing in
-        #: the pipeline writes it: what a spot derives (the regularized
-        #: grid, the enhanced samples) depends on the spot's window, so a
-        #: sweep of spots would never hit.  The across-spot reuse is the
-        #: per-light caches above.
-        #: Convention: memo keys are tuples whose element ``[1]`` is the
-        #: owning :data:`LightKey` — :meth:`invalidate_light` relies on
-        #: it to purge one light's entries without touching the rest.
-        self.cache: Dict[Any, Any] = {}
 
     def _refresh_keys(self) -> None:
         """Rebuild the key/index/sortedness views after a column change."""
@@ -197,8 +187,8 @@ class PartitionStore:
           (bit-for-bit, whenever report timestamps are unique per
           light — always true for continuous-time traces);
         * **only** touched lights lose their cached partition view, stop
-          events, mean report interval, and memo (:attr:`cache`)
-          entries — every other light's caches survive verbatim;
+          events and mean report interval — every other light's caches
+          survive verbatim;
         * an irregular chunk (inconsistent column lengths) quarantines
           its light onto the pass-through views, exactly like an
           irregular partition at build time; healthy lights are
@@ -280,27 +270,11 @@ class PartitionStore:
             # leaving them behind would let a later reload serve stale data
             _remove_column_files(previous_dir)
 
-    def invalidate_light(self, key: LightKey, *, derived_only: bool = False) -> None:
-        """Drop one light's cached state, leaving every other light's intact.
-
-        With ``derived_only=True`` the light's own extractions (cached
-        partition view, stop events, mean interval) survive and only its
-        open-memo (:attr:`cache`) entries are purged — the right scope
-        when a *neighbouring* light's new data can invalidate
-        enhancement-dependent intermediates (mirrored sample grids) but
-        not this light's own records.
-        """
-        if not derived_only:
-            self._partitions.pop(key, None)
-            self._stops.pop(key, None)
-            self._intervals.pop(key, None)
-        stale = [
-            ck
-            for ck in self.cache
-            if isinstance(ck, tuple) and len(ck) >= 2 and ck[1] == key
-        ]
-        for ck in stale:
-            del self.cache[ck]
+    def invalidate_light(self, key: LightKey) -> None:
+        """Drop one light's cached state, leaving every other light's intact."""
+        self._partitions.pop(key, None)
+        self._stops.pop(key, None)
+        self._intervals.pop(key, None)
 
     def _swap_backing(
         self,

@@ -1,11 +1,11 @@
-"""REP017/REP018/REP019 — numeric-contract rules: fixtures + canaries.
+"""REP018 — order-stable reductions in parity code: fixtures + canary.
 
-Synthetic trees exercise each rule's fire and clean paths through
-``lint_sources`` (the same engine path CI takes).  The canary tests
-then mutate the *real* tree in memory — deleting a seam blessing,
-inserting a set-fed accumulation, calling a tolerance-tier kernel from
-unmarked code — and assert the rule catches each regression, proving
-the committed-empty baseline is load-bearing rather than vacuous.
+Synthetic trees exercise the rule's fire and clean paths through
+``lint_sources`` (the same engine path CI takes).  The canary test then
+mutates the *real* tree in memory — inserting a set-fed accumulation
+into a parity kernel — and asserts the rule catches the regression,
+proving the committed-empty baseline is load-bearing rather than
+vacuous.
 """
 
 from __future__ import annotations
@@ -19,133 +19,11 @@ from repro.analysis.engine import iter_python_files, lint_sources
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 PARITY = "src/repro/core/cycle.py"
-SEAM = "src/repro/core/kernel_tier.py"
 LIB = "src/repro/eval/driver.py"
-
-# built by concatenation so this test file itself never carries a
-# live tolerance marker (the analyzer lints tests/ too)
-MARKER = "# repro" + ": tolerance"
-
-
-def _rules(findings):
-    return [f.rule for f in findings]
 
 
 def _messages(findings, rule):
     return [f.message for f in findings if f.rule == rule]
-
-
-# ----------------------------------------------------------------------
-# REP017 — precision dataflow into parity-kernel parameters
-# ----------------------------------------------------------------------
-
-
-class TestRep017:
-    KERNEL = (
-        "import numpy as np\n\n"
-        "def fold_kernel(t, v):\n"
-        "    return float(np.sum(t) + np.sum(v))\n"
-    )
-
-    def test_direct_sub_f64_argument_fires(self):
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def run(samples):\n"
-            "    t = np.asarray(samples, dtype=np.float32)\n"
-            "    v = np.asarray(samples, dtype=np.float64)\n"
-            "    return fold_kernel(t, v)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        msgs = _messages(findings, "REP017")
-        assert len(msgs) == 1
-        assert "`t`" in msgs[0]
-        assert "run -> fold_kernel" in msgs[0]
-        assert "sub-float64" in msgs[0]
-
-    def test_violation_through_helper_names_full_chain(self):
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def _mid(t, v):\n"
-            "    return fold_kernel(t, v)\n\n"
-            "def run(samples):\n"
-            "    t = np.asarray(samples, dtype=np.float32)\n"
-            "    return _mid(t, t)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        msgs = _messages(findings, "REP017")
-        assert msgs
-        assert any("run -> _mid -> fold_kernel" in m for m in msgs)
-
-    def test_unknown_precision_fires(self):
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def produce(n) -> np.ndarray:\n"
-            "    return _outside_helper(n)\n\n"
-            "def run(n):\n"
-            "    t = produce(n)\n"
-            "    return fold_kernel(t, t)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        msgs = _messages(findings, "REP017")
-        assert msgs
-        assert any("unknown-precision" in m for m in msgs)
-
-    def test_blessed_seam_is_clean(self):
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def run(samples):\n"
-            "    t = np.asarray(samples, dtype=np.float32)\n"
-            "    return fold_kernel(t.astype(np.float64), t.astype(np.float64))\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        assert _messages(findings, "REP017") == []
-
-    def test_ambiguous_spelling_is_rep005_not_rep017(self):
-        # dtype=float IS float64 — REP017 stays quiet; only the
-        # spelling rule (scoped to parity files) may comment
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def run(samples):\n"
-            "    t = np.asarray(samples, dtype=float)\n"
-            "    return fold_kernel(t, t)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        assert _messages(findings, "REP017") == []
-
-    def test_dtype_parameter_resolves_interprocedurally(self):
-        # the check_1d idiom: a validator coercing through its own
-        # dtype parameter must not collapse to UNKNOWN
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def _check(arr, dtype=np.float64) -> np.ndarray:\n"
-            "    return np.asarray(arr, dtype=dtype)\n\n"
-            "def run(samples):\n"
-            "    t = _check(samples)\n"
-            "    return fold_kernel(t, t)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        assert _messages(findings, "REP017") == []
-
-    def test_dtype_parameter_downcast_fires(self):
-        driver = (
-            "import numpy as np\n"
-            "from repro.core.cycle import fold_kernel\n\n"
-            "def _check(arr, dtype=np.float64) -> np.ndarray:\n"
-            "    return np.asarray(arr, dtype=dtype)\n\n"
-            "def run(samples):\n"
-            "    t = _check(samples, dtype=np.float32)\n"
-            "    return fold_kernel(t, t)\n"
-        )
-        findings = lint_sources([(PARITY, self.KERNEL), (LIB, driver)])
-        msgs = _messages(findings, "REP017")
-        assert msgs
-        assert any("sub-float64" in m for m in msgs)
 
 
 # ----------------------------------------------------------------------
@@ -220,100 +98,7 @@ class TestRep018:
 
 
 # ----------------------------------------------------------------------
-# REP019 — the exact/tolerance kernel-tier boundary
-# ----------------------------------------------------------------------
-
-
-class TestRep019:
-    def test_unmarked_calling_marked_fires(self):
-        lib = (
-            f"def _relaxed(x):  {MARKER}[ulp=2]\n"
-            "    return x\n\n"
-            "def run(x):\n"
-            "    return _relaxed(x)\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        msgs = _messages(findings, "REP019")
-        assert msgs
-        assert any("ulp=2" in m and "kernel_tier" in m for m in msgs)
-
-    def test_marked_calling_marked_is_clean(self):
-        lib = (
-            f"def _relaxed(x):  {MARKER}[ulp=2]\n"
-            "    return x\n\n"
-            f"def _also_relaxed(x):  {MARKER}[ulp=4]\n"
-            "    return _relaxed(x)\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        assert _messages(findings, "REP019") == []
-
-    def test_kernel_tier_seam_may_call_marked(self):
-        lib = (
-            f"def _relaxed(x):  {MARKER}[ulp=2]\n"
-            "    return x\n"
-        )
-        seam = (
-            "from repro.eval.driver import _relaxed\n\n"
-            "def resolve(x):\n"
-            "    return _relaxed(x)\n"
-        )
-        findings = lint_sources([(LIB, lib), (SEAM, seam)])
-        assert _messages(findings, "REP019") == []
-
-    def test_marker_inside_parity_file_fires(self):
-        kernel = (
-            f"def fold_kernel(t):  {MARKER}[ulp=1]\n"
-            "    return t\n"
-        )
-        findings = lint_sources([(PARITY, kernel)])
-        msgs = _messages(findings, "REP019")
-        assert msgs
-        assert any("parity-kernel file" in m for m in msgs)
-
-    def test_malformed_marker_is_an_orphan(self):
-        lib = (
-            f"def _relaxed(x):  {MARKER}[ulp=two]\n"
-            "    return x\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        msgs = _messages(findings, "REP019")
-        assert msgs
-        assert any("malformed" in m for m in msgs)
-
-    def test_marker_off_signature_is_an_orphan(self):
-        lib = (
-            "def _relaxed(x):\n"
-            f"    return x  {MARKER}[ulp=2]\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        msgs = _messages(findings, "REP019")
-        assert msgs
-        assert any("def signature" in m for m in msgs)
-
-    def test_prose_mention_in_docstring_is_inert(self):
-        lib = (
-            "def helper(x):\n"
-            f'    """Docs may explain the {MARKER}[ulp=N] grammar."""\n'
-            "    return x\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        assert _messages(findings, "REP019") == []
-
-    def test_reference_handoff_fires(self):
-        lib = (
-            f"def _relaxed(x):  {MARKER}[ulp=2]\n"
-            "    return x\n\n"
-            "def pick(submit):\n"
-            "    return submit(_relaxed)\n"
-        )
-        findings = lint_sources([(LIB, lib)])
-        msgs = _messages(findings, "REP019")
-        assert msgs
-        assert any("reference" in m for m in msgs)
-
-
-# ----------------------------------------------------------------------
-# Real-tree canaries: the committed-empty baseline is load-bearing
+# Real-tree canary: the committed-empty baseline is load-bearing
 # ----------------------------------------------------------------------
 
 
@@ -330,34 +115,9 @@ def tree():
     return _real_tree()
 
 
-def _patched(tree, rel_path, old, new, count=1):
-    out = []
-    hit = False
-    for path, text in tree:
-        if path == rel_path:
-            assert old in text, f"canary anchor vanished from {rel_path}"
-            text = text.replace(old, new, count)
-            hit = True
-        out.append((path, text))
-    assert hit, f"{rel_path} not in tree"
-    return out
-
-
 class TestRealTreeCanaries:
     def test_src_tree_is_clean(self, tree):
         assert lint_sources(tree) == []
-
-    def test_dropping_prepare_light_blessing_fires_rep017(self, tree):
-        patched = _patched(
-            tree,
-            "src/repro/core/batch.py",
-            "t=t.astype(np.float64)",
-            "t=t",
-        )
-        findings = lint_sources(patched)
-        msgs = _messages(findings, "REP017")
-        assert msgs, "deleting the _prepare_light blessing must fire REP017"
-        assert any("identify_batch" in m for m in msgs)
 
     def test_set_fed_accumulation_in_kernel_fires_rep018(self, tree):
         extra = (
@@ -377,19 +137,3 @@ class TestRealTreeCanaries:
         assert _messages(findings, "REP018"), (
             "a set-fed accumulation inside a parity file must fire REP018"
         )
-
-    def test_unmarked_call_into_tolerance_tier_fires_rep019(self, tree):
-        extra = (
-            "\n\n"
-            "def _canary_relaxed_profile(t, v, cycle_s, anchor):\n"
-            "    from repro.core.kernel_tier import _cycle_profile_tolerant\n"
-            "    return _cycle_profile_tolerant(t, v, cycle_s, anchor)\n"
-        )
-        patched = [
-            (p, t + extra if p == "src/repro/core/pipeline.py" else t)
-            for p, t in tree
-        ]
-        findings = lint_sources(patched)
-        msgs = _messages(findings, "REP019")
-        assert msgs, "unmarked code calling a tolerance kernel must fire REP019"
-        assert any("_cycle_profile_tolerant" in m for m in msgs)

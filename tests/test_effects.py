@@ -269,13 +269,9 @@ REP007_FIRE = _src(
         def __init__(self):
             self._columns = {}
             self._partitions = {}
-            self.cache = {}
 
         def invalidate_light(self, key):
             self._partitions.pop(key, None)
-            stale = [ck for ck in self.cache if ck[1] == key]
-            for ck in stale:
-                del self.cache[ck]
 
         def append(self, key, rows):
             self._columns[key] = rows
@@ -407,34 +403,6 @@ class TestStoreCoherence:
         assert _rules_of(findings) == ["REP007"]
         assert "append" in findings[0].message
         assert "_splice" in findings[0].message
-
-    def test_memo_fill_with_non_tuple_key_fires(self):
-        source = _src(
-            """
-            class PartitionStore:
-                def __init__(self):
-                    self.cache = {}
-
-                def remember(self, key, value):
-                    self.cache[key] = value
-            """
-        )
-        findings = lint_sources([(STORE, source)])
-        assert _rules_of(findings) == ["REP007"]
-        assert "cache" in findings[0].message
-
-    def test_memo_fill_with_tuple_key_is_clean(self):
-        source = _src(
-            """
-            class PartitionStore:
-                def __init__(self):
-                    self.cache = {}
-
-                def remember(self, key, value):
-                    self.cache[("grid", key, 60)] = value
-            """
-        )
-        assert lint_sources([(STORE, source)]) == []
 
     def test_suppressed_seam_does_not_propagate(self):
         source = _src(
@@ -1047,8 +1015,12 @@ class TestBaseline:
             for line in baseline_path.read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
+        # the same roots as CI's blocking lint step
         findings = run_paths(
-            [str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")]
+            [
+                str(REPO_ROOT / root)
+                for root in ("src", "tests", "benchmarks", "examples")
+            ]
         )
         rendered = [
             f"{os.path.relpath(f.path, REPO_ROOT)}:{f.line}: {f.rule}"
@@ -1067,7 +1039,5 @@ class TestBaseline:
             "REP014",
             "REP015",
             "REP016",
-            "REP017",
             "REP018",
-            "REP019",
         ]

@@ -1,11 +1,13 @@
-"""PartitionStore unit tests: the quarantine path and per-light caches.
+"""PartitionStore unit tests: the quarantine path, per-light caches and
+the float64 ingest boundary.
 
 The parity suite (``test_batch_parity``) exercises the store through
 the identification backends; these tests pin the store's own contract —
 that probing never raises, that quarantined objects round-trip
-untouched, and that the per-light derived products (partition views,
+untouched, that the per-light derived products (partition views,
 stop events, mean intervals) are computed exactly once per store
-lifetime.
+lifetime, and that every float the kernels read is float64 however the
+records arrived.
 """
 
 from __future__ import annotations
@@ -15,6 +17,8 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.matching.partition import LightPartition
+from repro.trace.records import TraceArrays
 from repro.trace.store import PartitionStore, _is_regular, _probe_regular
 
 from tests.test_faults import synth_partition
@@ -163,3 +167,96 @@ class TestCacheReuse:
             np.testing.assert_array_equal(q.trace.t, p.trace.t)
             np.testing.assert_array_equal(q.trace.speed_kmh, p.trace.speed_kmh)
             np.testing.assert_array_equal(q.segment_id, p.segment_id)
+
+
+# ----------------------------------------------------------------------
+# The float64 ingest boundary
+# ----------------------------------------------------------------------
+#: Float columns of a trace, and of the store (which adds the distance
+#: to the stop line).  The §V–§VII kernels (DFT, epoch folding,
+#: superposition, change point) get float64 input only because these
+#: are coerced on the way in.
+TRACE_FLOATS = ("t", "lon", "lat", "speed_kmh", "heading_deg")
+STORE_FLOATS = TRACE_FLOATS + ("dist_to_stopline_m",)
+
+
+def _float32_partition(seed, iid, t0=0.0, n=400):
+    """A partition whose every float column arrives as float32.
+
+    Half the reports read zero speed at a fixed position, so stop
+    extraction has events to return.
+    """
+    rng = np.random.default_rng(seed)
+    f32 = np.float32
+    trace = TraceArrays(
+        rng.integers(0, 20, n),
+        np.sort(rng.uniform(t0, t0 + 3600.0, n)).astype(f32),
+        np.full(n, 114.05, dtype=f32),
+        np.full(n, 22.54, dtype=f32),
+        np.where(rng.random(n) < 0.5, 0.0, 30.0).astype(f32),
+        heading_deg=rng.uniform(0.0, 360.0, n).astype(f32),
+    )
+    return LightPartition(
+        iid, "NS", trace, np.zeros(n, dtype=np.int64), np.full(n, 40.0, dtype=f32)
+    )
+
+
+@pytest.fixture
+def float32_city():
+    parts = [_float32_partition(seed, iid) for seed, iid in ((3, 20), (4, 21))]
+    return {p.key: p for p in parts}
+
+
+def _assert_float64(arrays, names):
+    wrong = {
+        name: str(arrays[name].dtype)
+        for name in names
+        if arrays[name].dtype != np.float64
+    }
+    assert not wrong, f"columns not float64: {wrong}"
+
+
+def _trace_columns(trace):
+    return {name: getattr(trace, name) for name in TRACE_FLOATS}
+
+
+class TestFloat64Boundary:
+    def test_trace_arrays_coerce_float32_input(self, float32_city):
+        for part in float32_city.values():
+            _assert_float64(_trace_columns(part.trace), TRACE_FLOATS)
+
+    def test_store_columns_after_build(self, float32_city):
+        store = PartitionStore.from_partitions(float32_city)
+        _assert_float64(store.columns, STORE_FLOATS)
+        for key in store:
+            _assert_float64(_trace_columns(store.partition(key).trace), TRACE_FLOATS)
+
+    def test_store_columns_after_append(self, float32_city):
+        store = PartitionStore.from_partitions(float32_city)
+        key = sorted(store)[0]
+        store.append_partitions({key: _float32_partition(5, key[0], t0=3600.0)})
+        _assert_float64(store.columns, STORE_FLOATS)
+        _assert_float64(_trace_columns(store.partition(key).trace), TRACE_FLOATS)
+
+    def test_store_columns_after_spilled_reload(self, float32_city, tmp_path):
+        store = PartitionStore.from_partitions(float32_city)
+        with store.spilled(str(tmp_path)) as mapped:
+            _assert_float64(mapped.columns, STORE_FLOATS)
+            clone = pickle.loads(pickle.dumps(mapped))
+            _assert_float64(clone.columns, STORE_FLOATS)
+
+    def test_window_samples_are_float64(self, float32_city):
+        store = PartitionStore.from_partitions(float32_city)
+        for key in store:
+            t, v = store.window_samples(key, 600.0, 3000.0, 100.0)
+            assert t.size and v.size
+            assert t.dtype == np.float64
+            assert v.dtype == np.float64
+
+    def test_stop_times_are_float64(self, float32_city):
+        store = PartitionStore.from_partitions(float32_city)
+        for key in store:
+            stops = store.stops(key)
+            assert len(stops)
+            assert stops.t_start.dtype == np.float64
+            assert stops.t_end.dtype == np.float64

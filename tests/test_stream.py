@@ -135,17 +135,6 @@ class TestAppendPartitions:
             store.partition(good).trace.t, partitions[good].trace.t
         )
 
-    def test_invalidate_light_purges_memo_entries(self, partitions):
-        store = PartitionStore.from_partitions(partitions)
-        key, other = sorted(store)[0], sorted(store)[1]
-        store.cache[("grid", key, 5400.0)] = "stale"
-        store.cache[("grid", other, 5400.0)] = "fresh"
-        store.stops(key)
-        store.invalidate_light(key, derived_only=True)
-        assert ("grid", key, 5400.0) not in store.cache
-        assert ("grid", other, 5400.0) in store.cache
-        assert key in store._stops, "derived_only must keep the raw caches"
-
 
 class TestStreamStore:
     def test_dirty_includes_perpendicular_partner(self, partitions):
@@ -247,7 +236,7 @@ class TestCoherenceAudit:
 
     The analyzer (REP007/REP008) proves these contracts structurally;
     the tests here pin the *runtime* behaviour the structure is meant
-    to guarantee: partner invalidation stays derived-only, and the
+    to guarantee: an ingest leaves the partner's caches intact, and the
     session result cache keys on both data version and spot time.
     """
 
@@ -260,24 +249,20 @@ class TestCoherenceAudit:
             assert partner[1] != key[1]
             assert partner_of(partner) == key
 
-    def test_ingest_keeps_partner_views_drops_partner_memo(self, partitions):
+    def test_ingest_keeps_partner_views(self, partitions):
         first, second = _halves(partitions)
         stream = StreamStore(first)
         store = stream.store
         key = sorted(first)[0]
         partner = (key[0], "EW" if key[1] == "NS" else "NS")
-        # warm the partner's extraction caches and both lights' memos
+        # warm both lights' extraction caches
         store.partition(partner)
         store.stops(partner)
-        store.cache[("grid", key, 5400.0)] = "stale"
-        store.cache[("grid", partner, 5400.0)] = "mirrored"
         store.stops(key)
         stream.append({key: second[key]})
-        # touched light: fully invalidated (views and memo both gone)
+        # touched light: its views are gone
         assert key not in store._stops
-        assert ("grid", key, 5400.0) not in store.cache
-        # partner: derived-only — memo purged, extractions survive
-        assert ("grid", partner, 5400.0) not in store.cache
+        # partner: dirty (TestStreamStore), but its extractions survive
         assert partner in store._partitions
         assert partner in store._stops
 

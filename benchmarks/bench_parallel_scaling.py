@@ -119,9 +119,10 @@ def _city64():
 def test_batched_backend_speedup(benchmark):
     """Whole-city batched calls vs one call per light, 64 lights x 10 spots.
 
-    Both backends run the same passes; the batched one shares each
-    kernel (one FFT, one vectorized fold-and-scan, one moving-average
-    pass) across the city.  Asserted: bit-for-bit identical estimates
+    Both backends run the same passes; the batched one shares the
+    city-wide kernels (one FFT, one superposition fold, one
+    moving-average pass) across the city, while the cycle stage's fold
+    scan runs per light in both.  Asserted: bit-for-bit identical estimates
     and failure keys.  The times are printed, not bounded.
     """
     scn = _city64()

@@ -21,23 +21,12 @@ Quick start::
     estimates, failures = identify_many(parts, at_time=7200.0)
     for key, est in estimates.items():
         print(est.row())
-"""
 
-from . import core, eval, lights, matching, navigation, network, obs, parallel, scenario, sim, trace
+Subpackages are imported on first use, not here, so a tool that needs
+one of them (``python -m repro.analysis`` needs no numpy or scipy)
+pays only for that one.
+"""
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "core",
-    "eval",
-    "lights",
-    "matching",
-    "navigation",
-    "network",
-    "obs",
-    "parallel",
-    "scenario",
-    "sim",
-    "trace",
-    "__version__",
-]
+__all__ = ["__version__"]

@@ -25,8 +25,6 @@ monotone effect fixpoint, ``callgraph.py`` / ``effects.py``) checks
 the interprocedural contracts:
 
 ========  ==========================================================
-REP007    store data writes dominated by cache invalidation, at any
-          call depth
 REP008    no mutation of values already dispatched into a worker
           closure
 REP009    set-order taint must not cross a call boundary into a
@@ -37,7 +35,6 @@ REP012    no loop-blocking work reachable from an ``async def``
           (offload through ``run_in_executor``)
 REP013    writer-owned tenant/session state is written only by the
           writer-task closure
-REP014    a published ``Snapshot`` is never mutated afterwards
 REP015    quota reserves crossing an ``await`` are try/finally
           released
 REP016    publish events follow the capture/swap/set protocol
@@ -45,10 +42,10 @@ REP018    parity-reachable reductions are order-stable; ``math.fsum``
           only at allowlisted seams (none today)
 ========  ==========================================================
 
-Run it as ``python -m repro.analysis [paths...]``; suppress a single
-finding with a trailing ``# repro: allow[REP00x]`` comment (REP002,
-REP007, and REP012 suppressions are themselves only honored at their
-sanctioned seams).
+Run it as ``python -m repro.analysis [paths...]`` (default: the CI
+roots ``src tests benchmarks examples``); suppress a single finding
+with a trailing ``# repro: allow[REP00x]`` comment (REP002 and REP012
+suppressions are themselves only honored at their sanctioned seams).
 """
 
 from .engine import Finding, lint_file, lint_source, run_paths

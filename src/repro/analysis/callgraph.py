@@ -267,11 +267,6 @@ class CallGraph:
                 stack.extend(ref.target for ref in fn.refs)
         return seen
 
-    def functions_in_file(self, mod_path: str) -> List[FunctionInfo]:
-        return [
-            f for f in self.functions.values() if module_path(f.path) == mod_path
-        ]
-
     def resolve_class(self, module: str, name: str) -> Optional[ClassInfo]:
         """Class named *name* as seen from *module* (imports honored)."""
         info = self.modules.get(module)

@@ -4,28 +4,24 @@ Exit status: 0 when the tree is clean, 1 when any finding survives
 suppression, 2 on usage errors or a blown ``--max-seconds`` budget.
 Designed to sit next to ``ruff`` and ``mypy`` as a third named CI
 step, so failures attribute cleanly; ``--format sarif`` feeds the same
-findings to GitHub code scanning, and ``--diff BASE`` narrows a local
-run to the functions a branch actually touched.
+findings to GitHub code scanning.  With no paths it checks the four
+roots CI checks (``src tests benchmarks examples``).
 """
 
 from __future__ import annotations
 
 import argparse
-import ast
 import json
-import subprocess
 import sys
 import time
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence
 
-from .engine import (
-    Finding,
-    iter_python_files,
-    run_paths,
-    strip_suppressions,
-    to_sarif,
-)
+from .engine import run_paths, to_sarif
 from .rules import ALL_RULES, AUDIT_RULES, PROGRAM_RULES
+
+#: The roots CI's blocking analyzer step checks; a no-flag run checks
+#: exactly these.
+DEFAULT_PATHS = ("src", "tests", "benchmarks", "examples")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -36,8 +32,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src", "tests"],
-        help="files or directories to check (default: src tests)",
+        default=list(DEFAULT_PATHS),
+        help=(
+            "files or directories to check "
+            f"(default: {' '.join(DEFAULT_PATHS)}, the CI roots)"
+        ),
     )
     parser.add_argument(
         "--select",
@@ -62,28 +61,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the formatted findings to FILE instead of stdout",
     )
     parser.add_argument(
-        "--diff",
-        default=None,
-        metavar="BASE",
-        help=(
-            "only report findings in functions changed since the git "
-            "revision BASE (e.g. origin/main)"
-        ),
-    )
-    parser.add_argument(
         "--max-seconds",
         type=float,
         default=None,
         metavar="S",
         help="fail (exit 2) if the analysis takes longer than S seconds",
-    )
-    parser.add_argument(
-        "--fix-unused",
-        action="store_true",
-        help=(
-            "rewrite files in place, removing every suppression comment "
-            "the unused-suppression audit (REP011) reported"
-        ),
     )
     parser.add_argument(
         "-q",
@@ -92,130 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress the summary line",
     )
     return parser
-
-
-def _changed_ranges(base: str, paths: Sequence[str]) -> Dict[str, List[Tuple[int, int]]]:
-    """path -> [(start, end)] line ranges changed since *base*.
-
-    Parsed from ``git diff -U0``: each ``@@ -a,b +c,d @@`` hunk
-    contributes the post-image range ``[c, c+max(d,1))`` (a pure
-    deletion still marks the line it landed on, so a finding introduced
-    by deleting an invalidation next to line ``c`` stays in scope).
-
-    ``--find-renames`` is forced on (repositories can disable rename
-    detection via ``diff.renames``): without it a renamed file shows up
-    as a full delete + add, flagging every line as changed and burying
-    the hunks the author actually touched.
-    """
-    cmd = [
-        "git", "diff", "-U0", "--no-color", "--find-renames",
-        base, "--", *paths,
-    ]
-    proc = subprocess.run(cmd, capture_output=True, text=True, check=True)
-    ranges: Dict[str, List[Tuple[int, int]]] = {}
-    current: Optional[str] = None
-    for line in proc.stdout.splitlines():
-        if line.startswith("+++ "):
-            target = line[4:].strip()
-            current = None if target == "/dev/null" else target.removeprefix("b/")
-        elif line.startswith("@@") and current is not None:
-            try:
-                plus = line.split("+", 1)[1].split(" ", 1)[0]
-            except IndexError:
-                continue
-            if "," in plus:
-                start_s, count_s = plus.split(",", 1)
-                start, count = int(start_s), int(count_s)
-            else:
-                start, count = int(plus), 1
-            ranges.setdefault(current, []).append((start, start + max(count, 1)))
-    # Files new relative to BASE but not yet tracked never appear in
-    # ``git diff BASE`` — every line of them is changed, so every
-    # finding in them is in scope.
-    untracked = subprocess.run(
-        ["git", "ls-files", "--others", "--exclude-standard", "--", *paths],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    for path in untracked.stdout.splitlines():
-        if path.endswith(".py"):
-            ranges.setdefault(path, []).append((1, sys.maxsize))
-    return ranges
-
-
-def _function_spans(source: str) -> List[Tuple[int, int]]:
-    """(start, end) line spans of every function/method in *source*."""
-    try:
-        tree = ast.parse(source)
-    except SyntaxError:
-        return []
-    spans: List[Tuple[int, int]] = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            spans.append((node.lineno, node.end_lineno or node.lineno))
-    return spans
-
-
-def _diff_filter(findings: List[Finding], base: str, paths: Sequence[str]) -> List[Finding]:
-    """Keep findings whose enclosing function overlaps the diff.
-
-    A finding in an untouched file is dropped; a finding in a changed
-    file survives when its line sits in a changed range, or when the
-    innermost function containing it overlaps one (editing any line of
-    a function can flip a whole-function property like REP007).
-    """
-    ranges = _changed_ranges(base, paths)
-    span_cache: Dict[str, List[Tuple[int, int]]] = {}
-    kept: List[Finding] = []
-    for finding in findings:
-        changed = ranges.get(finding.path)
-        if not changed:
-            continue
-        if any(start <= finding.line < end for start, end in changed):
-            kept.append(finding)
-            continue
-        if finding.path not in span_cache:
-            try:
-                with open(finding.path, encoding="utf-8") as fp:
-                    span_cache[finding.path] = _function_spans(fp.read())
-            except OSError:
-                span_cache[finding.path] = []
-        enclosing = [
-            span
-            for span in span_cache[finding.path]
-            if span[0] <= finding.line <= span[1]
-        ]
-        if not enclosing:
-            continue
-        # innermost function containing the finding
-        fn_start, fn_end = max(enclosing, key=lambda span: span[0])
-        if any(start <= fn_end and fn_start < end for start, end in changed):
-            kept.append(finding)
-    return kept
-
-
-def _apply_fix_unused(findings: List[Finding]) -> int:
-    """Strip the suppressions REP011 reported; returns files rewritten."""
-    by_path: Dict[str, Dict[int, Set[str]]] = {}
-    for finding in findings:
-        if finding.rule != "REP011":
-            continue
-        match = finding.message.split("`allow[", 1)
-        if len(match) != 2:
-            continue
-        rule_id = match[1].split("]", 1)[0]
-        by_path.setdefault(finding.path, {}).setdefault(finding.line, set()).add(
-            rule_id
-        )
-    for path, removals in sorted(by_path.items()):
-        with open(path, encoding="utf-8") as fp:
-            source = fp.read()
-        fixed = strip_suppressions(source, removals)
-        if fixed != source:
-            with open(path, "w", encoding="utf-8") as fp:
-                fp.write(fixed)
-    return len(by_path)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -241,21 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FileNotFoundError as exc:
         parser.error(str(exc))
     elapsed = time.perf_counter() - started
-
-    if args.diff is not None:
-        try:
-            findings = _diff_filter(findings, args.diff, args.paths)
-        except subprocess.CalledProcessError as exc:
-            parser.error(
-                f"git diff against {args.diff!r} failed: "
-                f"{exc.stderr.strip() or exc}"
-            )
-
-    if args.fix_unused:
-        fixed = _apply_fix_unused(findings)
-        findings = [f for f in findings if f.rule != "REP011"]
-        if not args.quiet and fixed:
-            print(f"removed unused suppressions in {fixed} file(s)", file=sys.stderr)
 
     if args.format == "sarif":
         payload = json.dumps(to_sarif(findings), indent=2, sort_keys=True)

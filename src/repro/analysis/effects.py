@@ -2,16 +2,7 @@
 
 For every analyzed function this module computes an
 :class:`EffectSummary` — the function's externally visible effects on
-the two contracts the streaming backend's replay parity rests on:
-
-**Cache coherence** (REP007).  Writes to a ``PartitionStore`` /
-``StreamStore`` *data* attribute (the CSR columns and key tables)
-silently invalidate every derived cache layered on top; the store
-contract requires the matching ``invalidate_light`` (or an equivalent
-full cache drop) on every path that mutates.  Summaries record local
-data writes and invalidation calls — then propagate both bits to a
-fixpoint, so a public entry point that mutates *through* helpers is
-still required to invalidate.
+the contracts the whole-program rules check:
 
 **Process isolation** (REP008).  An object that escapes into a
 ``pmap`` / ``pmap_seeded`` / ``ProcessPoolExecutor`` fan-out is pickled
@@ -39,18 +30,12 @@ in the identification-kernel modules) and propagate a ``may_block``
 bit through call edges *and* function-reference arguments — stopping
 at ``run_in_executor`` references, the sanctioned offload seam.
 
-**Tenant/session write sets** (REP013/REP014/REP016).  Summaries
+**Tenant/session write sets** (REP013/REP016).  Summaries
 record which ``self.<attr>`` slots each method writes (assignment,
 augmented assignment, deletion, or a mutating method call, including
 through local aliases).  Combined with the writer-task closure seeded
 from ``create_task`` spawns, the rules classify every attribute as
 writer-owned or reader-side and prove the single-writer discipline.
-
-Suppressions participate at the *effect* level: a store write carrying
-an ``allow[REP007]`` comment (the sanctioned representation-flip seam)
-is dropped from the summary, so it does not propagate unsafety to
-callers — the suppression asserts the write preserves data, not merely
-that the message is unwanted.
 """
 
 from __future__ import annotations
@@ -58,7 +43,6 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     List,
     Optional,
@@ -77,8 +61,6 @@ from .callgraph import (
 )
 
 __all__ = [
-    "STORE_CLASSES",
-    "DATA_ATTRS",
     "CONSTRUCTION_EXEMPT",
     "BLOCKING_KERNEL_FILES",
     "Site",
@@ -89,13 +71,6 @@ __all__ = [
     "call_tainted_locals",
     "expr_unordered",
 ]
-
-#: Classes whose instances carry the cache-coherence contract.
-STORE_CLASSES = frozenset({"PartitionStore", "StreamStore"})
-
-#: Store *data* state: mutating any of these changes what every derived
-#: cache was computed from, so a full invalidation must accompany it.
-DATA_ATTRS = frozenset({"_columns", "_offsets", "_regular_keys", "_irregular"})
 
 #: Entry points that fan work out into processes: (function qualname
 #: suffix, parameter names whose arguments escape).  ``func`` itself is
@@ -176,9 +151,6 @@ class EffectSummary:
     """Externally visible effects of one function (local + transitive)."""
 
     qualname: str
-    # -- cache coherence ------------------------------------------------
-    data_writes: List[Site] = field(default_factory=list)
-    invalidates_full: bool = False
     # -- process isolation ---------------------------------------------
     escapes: List[Tuple[str, Site]] = field(default_factory=list)
     mutations: List[Tuple[str, Site]] = field(default_factory=list)
@@ -195,8 +167,6 @@ class EffectSummary:
     #: excluding construction.
     self_attr_writes: List[Tuple[str, Site]] = field(default_factory=list)
     # -- transitive bits (fixpoint) -------------------------------------
-    writes_data: bool = False
-    invalidates: bool = False
     #: Whether calling this function may block the event loop, and the
     #: qualname chain that first proved it (for messages).
     may_block: bool = False
@@ -205,9 +175,6 @@ class EffectSummary:
     #: enters a blocking chain (local primitive, call edge, or
     #: non-offload function reference), sorted and deduped by line.
     loop_block_anchors: List[Site] = field(default_factory=list)
-    #: Call sites through which a transitive data write is reached,
-    #: used to anchor findings at the caller when the write is remote.
-    write_call_sites: List[Site] = field(default_factory=list)
 
 
 @dataclass
@@ -219,9 +186,6 @@ class Program:
     #: Shared pytest fixtures: name -> defining function qualname, for
     #: every ``@pytest.fixture(scope="session"|"module")`` in the tree.
     shared_fixtures: Dict[str, str]
-    #: Suppressions consumed at the effect level, so the engine's
-    #: unused-suppression audit counts them as used.
-    used_suppressions: Set[Tuple[str, int, str]]
     #: Coroutines handed to ``create_task``/``ensure_future`` by library
     #: code (``Tenant.start`` spawning ``_run_writer``): the roots of
     #: the writer-task classification.  Spawns in tests/benchmarks are
@@ -234,37 +198,9 @@ class Program:
     writer_reachable: Set[str] = field(default_factory=set)
 
 
-SuppressionCheck = Callable[[str, int, str], bool]
-
-
-def _never_suppressed(_path: str, _line: int, _rule: str) -> bool:
-    return False
-
-
 # ----------------------------------------------------------------------
 # Local (per-function) effect extraction
 # ----------------------------------------------------------------------
-
-def _is_store_expr(fn: FunctionInfo, node: ast.expr) -> bool:
-    """Whether *node* evaluates to a store instance, per the type env."""
-    env = fn.env
-    if env is None:
-        return False
-    t = env.type_of(node)
-    return t is not None and t.split(".")[-1] in STORE_CLASSES
-
-
-def _store_attr_target(fn: FunctionInfo, node: ast.expr) -> Optional[str]:
-    """``attr`` when *node* targets ``<store>.<attr>``.
-
-    Handles both ``store.attr`` and ``store.attr[...]`` shapes.
-    """
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if isinstance(node, ast.Attribute) and _is_store_expr(fn, node.value):
-        return node.attr
-    return None
-
 
 def _root_name(node: ast.expr) -> Optional[str]:
     """Name at the root of an attribute/subscript chain."""
@@ -276,47 +212,6 @@ def _root_name(node: ast.expr) -> Optional[str]:
 CONSTRUCTION_EXEMPT = frozenset(
     {"__init__", "__new__", "__setstate__", "__getstate__", "_init_derived"}
 )
-
-
-def _local_cache_effects(
-    fn: FunctionInfo,
-    summary: EffectSummary,
-    suppressed: SuppressionCheck,
-    used: Set[Tuple[str, int, str]],
-) -> None:
-    """Store data writes / invalidations in *fn*'s own body."""
-    if fn.name in CONSTRUCTION_EXEMPT:
-        # construction and (un)pickling build the store before it is
-        # shared; there is nothing cached yet to invalidate
-        return
-    for node in own_nodes(fn.node):
-        targets: List[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = list(node.targets)
-        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-            targets = [node.target]
-        elif isinstance(node, ast.Delete):
-            targets = list(node.targets)
-        for tgt in targets:
-            attr = _store_attr_target(fn, tgt)
-            if attr not in DATA_ATTRS:
-                continue
-            lineno = getattr(tgt, "lineno", node.lineno)
-            col = getattr(tgt, "col_offset", 0)
-            if suppressed(fn.path, lineno, "REP007"):
-                used.add((fn.path, lineno, "REP007"))
-                continue
-            summary.data_writes.append(
-                Site(fn.path, lineno, col, f"write to store.{attr}")
-            )
-        # ``store.invalidate_light(...)`` / ``store._init_derived()``
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("invalidate_light", "_init_derived")
-            and _is_store_expr(fn, node.func.value)
-        ):
-            summary.invalidates_full = True
 
 
 def _escape_sites(fn: FunctionInfo, node: ast.Call) -> List[str]:
@@ -703,16 +598,11 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
         for fn in graph.functions.values():
             summary = effects[fn.qualname]
             before = (
-                summary.writes_data,
-                summary.invalidates,
                 summary.may_block,
-                len(summary.write_call_sites),
                 len(summary.mutated_params),
                 summary.returns_unordered,
                 len(summary.unordered_sink_params),
             )
-            summary.writes_data = summary.writes_data or bool(summary.data_writes)
-            summary.invalidates = summary.invalidates or summary.invalidates_full
             if summary.blocking_sites and not summary.may_block:
                 summary.may_block = True
                 summary.block_chain = (summary.blocking_sites[0].detail,)
@@ -732,8 +622,6 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
                 callee = effects.get(site.callee)
                 if callee is None:
                     continue
-                if callee.invalidates:
-                    summary.invalidates = True
                 if (
                     callee.may_block
                     and not summary.may_block
@@ -743,17 +631,6 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
                 ):
                     summary.may_block = True
                     summary.block_chain = (site.callee,) + callee.block_chain
-                if callee.writes_data and not callee.invalidates:
-                    if not summary.writes_data:
-                        summary.writes_data = True
-                    anchor = Site(
-                        fn.path,
-                        site.lineno,
-                        site.node.col_offset,
-                        f"call to {site.callee} (which mutates store data)",
-                    )
-                    if anchor not in summary.write_call_sites:
-                        summary.write_call_sites.append(anchor)
                 # parameter mutation propagation: passing my param as a
                 # positional arg into a mutating parameter of the callee
                 callee_fn = graph.functions[site.callee]
@@ -800,10 +677,7 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
                         if kw.value.id in fn.params:
                             summary.mutated_params.add(kw.value.id)
             after = (
-                summary.writes_data,
-                summary.invalidates,
                 summary.may_block,
-                len(summary.write_call_sites),
                 len(summary.mutated_params),
                 summary.returns_unordered,
                 len(summary.unordered_sink_params),
@@ -1008,7 +882,6 @@ def _writer_closure(graph: CallGraph) -> Tuple[Set[str], Set[str]]:
 def build_program(
     files: Sequence[Tuple[str, str]],
     *,
-    suppressed: Optional[SuppressionCheck] = None,
     trees: Optional[Dict[str, ast.Module]] = None,
 ) -> Program:
     """Parse *files*, build the call graph, and compute all summaries.
@@ -1016,8 +889,6 @@ def build_program(
     *trees* lets the engine share ASTs already parsed by the per-file
     pass instead of re-parsing every module.
     """
-    check = suppressed if suppressed is not None else _never_suppressed
-    used: Set[Tuple[str, int, str]] = set()
     graph = build_callgraph(files, trees=trees)
     effects: Dict[str, EffectSummary] = {}
     for fn in graph.functions.values():
@@ -1026,7 +897,6 @@ def build_program(
             # every kernel-module function is a blocking primitive
             summary.may_block = True
             summary.block_chain = (f"defined in {module_path(fn.path)}",)
-        _local_cache_effects(fn, summary, check, used)
         _local_isolation_effects(fn, summary)
         _local_blocking_effects(fn, graph, summary)
         _local_state_effects(fn, summary)
@@ -1039,7 +909,6 @@ def build_program(
         graph=graph,
         effects=effects,
         shared_fixtures=_collect_shared_fixtures(graph),
-        used_suppressions=used,
         writer_roots=writer_roots,
         writer_reachable=writer_reachable,
     )

@@ -3,9 +3,9 @@
 Separated from :mod:`repro.analysis.rules` so rules stay declarative
 and the driver owns everything positional: path normalization, the
 trailing ``allow[REP00x]`` suppression protocol, the whole-program
-pass (call graph + effect summaries feeding the REP007–REP010 rules),
-the unused-suppression audit (REP011), and the policy that scoped
-suppressions (REP002, REP007) are only honored at their sanctioned
+pass (call graph + effect summaries feeding the REP008+ rules), the
+unused-suppression audit (REP011), and the policy that scoped
+suppressions (REP002, REP012) are only honored at their sanctioned
 files.
 """
 
@@ -18,7 +18,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -46,7 +45,6 @@ __all__ = [
     "module_path",
     "iter_python_files",
     "to_sarif",
-    "strip_suppressions",
 ]
 
 #: Trailing-comment suppression: ``allow[REP001]`` or
@@ -80,7 +78,7 @@ def _unsanctioned_suppressions(
 ) -> Tuple[List[Finding], Set[Tuple[str, int, str]]]:
     """Scoped suppressions used outside their sanctioned files.
 
-    An ``allow`` comment for REP002/REP007 anywhere except its
+    An ``allow`` comment for REP002/REP012 anywhere except its
     sanctioned seam would quietly re-open the bug class the rule
     closes, so the suppression itself is a violation (and cannot be
     suppressed).  Returns the findings plus the ``(path, line, rule)``
@@ -212,7 +210,7 @@ def lint_sources(
 
     Runs the per-file rules on each file, then — when any program rule
     is in play — builds the whole-program call graph/effect summaries
-    once over *all* the files and runs REP007–REP010 on top.  Finally
+    once over *all* the files and runs the program rules on top.  Finally
     (by default only when no ``--select`` narrows the run, since a
     narrowed run cannot know what the other rules' suppressions catch)
     audits every ``allow`` comment that suppressed nothing (REP011).
@@ -244,19 +242,7 @@ def lint_sources(
         if select is None or rule.id in select
     ]
     if active_program:
-
-        def suppressed(path: str, line: int, rule_id: str) -> bool:
-            state = states.get(path)
-            if state is None or rule_id not in state.suppressions.get(line, ()):
-                return False
-            sanctioned = SUPPRESSION_SCOPE.get(rule_id)
-            return sanctioned is None or module_path(path) in sanctioned
-
-        program = build_program(files, suppressed=suppressed, trees=trees)
-        for key in program.used_suppressions:
-            state = states.get(key[0])
-            if state is not None:
-                state.used.add(key)
+        program = build_program(files, trees=trees)
         for rule in active_program:
             for finding in rule.check_program(program):
                 state = states.get(finding.path)
@@ -353,7 +339,7 @@ def run_paths(
 
 
 # ----------------------------------------------------------------------
-# Output formats / fixers
+# Output formats
 # ----------------------------------------------------------------------
 
 _SARIF_SCHEMA = (
@@ -422,36 +408,3 @@ def to_sarif(findings: Sequence[Finding]) -> Dict[str, object]:
             }
         ],
     }
-
-
-def strip_suppressions(
-    source: str, removals: Mapping[int, Set[str]]
-) -> str:
-    """Remove the named rule ids from ``allow`` comments on given lines.
-
-    When every id in a comment is removed the whole trailing comment
-    goes; otherwise the comment is rewritten with the surviving ids.
-    Lines not in *removals* pass through byte-identical.
-    """
-    out: List[str] = []
-    newline = "\n" if source.endswith("\n") else ""
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        drop = removals.get(lineno)
-        if drop:
-            match = _ALLOW_RE.search(line)
-            if match is not None:
-                ids = [
-                    part.strip()
-                    for part in match.group(1).split(",")
-                    if part.strip()
-                ]
-                survivors = [i for i in ids if i not in drop]
-                if survivors:
-                    replacement = (
-                        f"# repro: allow[{','.join(survivors)}]"
-                    )
-                    line = line[: match.start()] + replacement + line[match.end():]
-                else:
-                    line = line[: match.start()].rstrip()
-        out.append(line)
-    return "\n".join(out) + newline

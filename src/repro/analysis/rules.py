@@ -25,7 +25,6 @@ from .effects import (
     CONSTRUCTION_EXEMPT,
     Program,
     Site,
-    _mutation_of,
     _self_attr_of,
     call_tainted_locals,
     expr_unordered,
@@ -66,13 +65,6 @@ CONTAINMENT_SEAMS = (
     "repro/parallel/pool.py",
 )
 
-#: Files allowed to carry an ``allow[REP007]``: the store internals,
-#: where the sanctioned representation flip (``_swap_backing``) lives.
-STORE_FILES = (
-    "repro/trace/store.py",
-    "repro/stream/store.py",
-)
-
 #: Files allowed to carry an ``allow[REP012]``: the tenant writer, whose
 #: inline (``executor=None``) apply branch deliberately runs the
 #: identification kernel on the loop — the fully deterministic posture
@@ -84,7 +76,6 @@ ASYNC_SEAM_FILES = (
 #: Rules whose suppression comments are only honored in specific files.
 SUPPRESSION_SCOPE: Dict[str, Tuple[str, ...]] = {
     "REP002": CONTAINMENT_SEAMS,
-    "REP007": STORE_FILES,
     "REP012": ASYNC_SEAM_FILES,
 }
 
@@ -627,7 +618,7 @@ class SetOrderRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# Whole-program rules (REP007+): consume the call-graph/effect engine
+# Whole-program rules (REP008+): consume the call-graph/effect engine
 # ----------------------------------------------------------------------
 
 
@@ -636,8 +627,7 @@ class ProgramRule:
 
     Unlike :class:`Rule`, these see the whole analyzed tree at once (a
     :class:`~repro.analysis.effects.Program`); per-line suppressions
-    still apply to their findings, and effect-level suppressions are
-    consumed inside the engine before findings exist.
+    still apply to their findings.
     """
 
     id = "REP000"
@@ -652,47 +642,6 @@ class ProgramRule:
 
 def _in_library(path: str) -> bool:
     return module_path(path).startswith("repro/")
-
-
-class StoreCoherenceRule(ProgramRule):
-    """REP007 — store mutations must carry their cache invalidation.
-
-    ``PartitionStore``/``StreamStore`` layer three per-light caches over
-    the column data (partition views, stop events, mean report
-    intervals); a write to a data attribute that no
-    ``invalidate_light`` / ``_init_derived`` accompanies — on any path,
-    through any depth of helpers — leaves those caches describing rows
-    that no longer exist.  PR 4's append path got this right by
-    convention; this rule makes the convention load-bearing.
-    """
-
-    id = "REP007"
-    summary = "store column write not covered by invalidate_light/cache drop"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for qualname in sorted(program.graph.functions):
-            fn = program.graph.functions[qualname]
-            if not _in_library(fn.path) or fn.name in CONSTRUCTION_EXEMPT:
-                continue
-            summary = program.effects[qualname]
-            if not summary.writes_data or summary.invalidates:
-                continue
-            if not (fn.is_public or not program.graph.callers_of(qualname)):
-                # a private helper's write is charged to whichever
-                # public entry reaches it without invalidating
-                continue
-            anchors = summary.data_writes or summary.write_call_sites
-            if not anchors:
-                continue
-            site = anchors[0]
-            yield self.finding_at(
-                site.path,
-                site.lineno,
-                site.col,
-                f"`{qualname}` mutates store data ({site.detail}) with no "
-                f"invalidate_light/_init_derived on the path; partition/stop/"
-                f"interval views go stale",
-            )
 
 
 class WorkerEscapeRule(ProgramRule):
@@ -1121,164 +1070,13 @@ class SingleWriterRule(ProgramRule):
         return Site(entry.path, entry.lineno, 0, "")
 
 
-class PublishOnceRule(ProgramRule):
-    """REP014 — a published ``Snapshot`` is never mutated afterwards.
-
-    Readers are lock-free *because* the snapshot swap publishes an
-    immutable value: mutate it after the ``self._snapshot = ...``
-    assignment and concurrent readers observe a half-updated advisory —
-    the async twin of REP008's escape-then-mutate rule, and exactly the
-    mixed-version cache-stamp race PR 7 closed.  The rule flags
-    mutations of a name after it is published, of anything read back
-    out of a ``_snapshot`` attribute, of any ``Snapshot``-typed value
-    (frozen by construction — mutating one is a bug anywhere), and of
-    values passed to callees that mutate them.
-    """
-
-    id = "REP014"
-    summary = "Snapshot (or _snapshot-published value) mutated after publication"
-
-    _ATTR = "_snapshot"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for qualname in sorted(program.graph.functions):
-            fn = program.graph.functions[qualname]
-            if fn.name in CONSTRUCTION_EXEMPT:
-                continue
-            yield from self._check_fn(program, fn)
-
-    def _check_fn(self, program: Program, fn: FunctionInfo) -> Iterator[Finding]:
-        env = fn.env
-        snapshot_since: Dict[str, int] = {}
-        published: Dict[str, int] = {}
-        if env is not None:
-            for name, t in env.names.items():
-                if name not in ("self", "cls") and t.split(".")[-1] == "Snapshot":
-                    snapshot_since[name] = 0
-        nodes = _sorted_own_nodes(fn.node)
-        for node in nodes:
-            if isinstance(node, ast.Assign):
-                if (
-                    len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                    and isinstance(node.value, ast.Attribute)
-                    and node.value.attr == self._ATTR
-                ):
-                    snapshot_since.setdefault(node.targets[0].id, node.lineno)
-                for tgt in node.targets:
-                    if (
-                        isinstance(tgt, ast.Attribute)
-                        and tgt.attr == self._ATTR
-                        and isinstance(node.value, ast.Name)
-                    ):
-                        published.setdefault(node.value.id, node.lineno)
-        seen: set = set()
-
-        def fire(lineno: int, col: int, message: str) -> Iterator[Finding]:
-            key = (lineno, col)
-            if key not in seen:
-                seen.add(key)
-                yield self.finding_at(fn.path, lineno, col, message)
-
-        for node in nodes:
-            targets: List[ast.expr] = []
-            if isinstance(node, (ast.Assign, ast.Delete)):
-                targets = list(node.targets)
-            elif isinstance(node, ast.AugAssign):
-                targets = [node.target]
-            for tgt in targets:
-                if self._chain_touches(tgt, allow_outer=True):
-                    yield from fire(
-                        tgt.lineno,
-                        tgt.col_offset,
-                        f"`{fn.qualname}` writes through `{self._ATTR}` after "
-                        f"publication; the swap must be the only store — "
-                        f"build a fresh Snapshot and republish",
-                    )
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _SNAPSHOT_MUTATORS
-                and self._chain_touches(node.func.value, allow_outer=False)
-            ):
-                yield from fire(
-                    node.lineno,
-                    node.col_offset,
-                    f"`{fn.qualname}` calls `.{node.func.attr}(...)` on a "
-                    f"published snapshot's state; published values are "
-                    f"frozen — build a fresh Snapshot and republish",
-                )
-            hit = _mutation_of(node)
-            if hit is None:
-                continue
-            root, detail, lineno, col = hit
-            if root in published and lineno > published[root]:
-                yield from fire(
-                    lineno,
-                    col,
-                    f"`{fn.qualname}` mutates `{root}` ({detail}) after "
-                    f"publishing it via `{self._ATTR}` at line "
-                    f"{published[root]}; concurrent readers already hold it "
-                    f"— publish-once means build-then-swap, never patch",
-                )
-            elif root in snapshot_since and lineno >= snapshot_since[root]:
-                yield from fire(
-                    lineno,
-                    col,
-                    f"`{fn.qualname}` mutates `{root}` ({detail}), a "
-                    f"Snapshot (frozen by construction); snapshots and "
-                    f"everything they freeze are immutable after "
-                    f"publication — build a fresh one instead",
-                )
-        for root, msite in program.effects[fn.qualname].mutations:
-            if not msite.detail.startswith("passed to"):
-                continue
-            if (root in published and msite.lineno > published[root]) or (
-                root in snapshot_since and msite.lineno >= snapshot_since[root]
-            ):
-                yield from fire(
-                    msite.lineno,
-                    msite.col,
-                    f"`{fn.qualname}` hands the published snapshot `{root}` "
-                    f"to a callee that mutates it ({msite.detail}); "
-                    f"publish-once holds through calls too",
-                )
-
-    @staticmethod
-    def _chain_touches(node: ast.AST, *, allow_outer: bool) -> bool:
-        """Whether a target/receiver chain passes *through* ``_snapshot``.
-
-        The swap itself (outermost ``x._snapshot = ...``) is the
-        sanctioned publication and is exempted via *allow_outer*.
-        """
-        first = allow_outer
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            if isinstance(node, ast.Attribute):
-                if node.attr == PublishOnceRule._ATTR and not first:
-                    return True
-                node = node.value
-            else:
-                node = node.value
-            first = False
-        return False
-
-
-#: Container mutators relevant to snapshot state (subset of the effect
-#: layer's mutator set — snapshots hold mappings and lists).
-_SNAPSHOT_MUTATORS = frozenset(
-    {"append", "extend", "insert", "remove", "pop", "popitem", "clear",
-     "update", "setdefault", "add", "discard", "sort", "reverse"}
-)
-
-
 class QuotaRollbackRule(ProgramRule):
     """REP015 — a quota reserve crossing an await must roll back on failure.
 
     ``Tenant.submit`` reserves lights *before* its first await so
     concurrent submits see a consistent budget; if the coroutine is
     then cancelled (or the writer dies) while parked on the queue, an
-    unprotected reserve leaks quota forever — the resource analogue of
-    REP007's write-dominated-by-invalidation.  Detection is structural:
+    unprotected reserve leaks quota forever.  Detection is structural:
     an attribute compared against a ``*Quota`` limit is a reserve
     counter; growing it (``+=`` / ``|=``) and then awaiting requires
     every later await to sit inside a ``try`` whose ``finally`` (or
@@ -1701,13 +1499,11 @@ ALL_RULES: Sequence[Rule] = (
 )
 
 PROGRAM_RULES: Sequence[ProgramRule] = (
-    StoreCoherenceRule(),
     WorkerEscapeRule(),
     CrossCallSetOrderRule(),
     StrictFrontierRule(),
     LoopBlockingRule(),
     SingleWriterRule(),
-    PublishOnceRule(),
     QuotaRollbackRule(),
     PublishEventRule(),
     ReductionOrderRule(),

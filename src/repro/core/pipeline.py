@@ -194,8 +194,9 @@ def identify_many(
     runs; all three give the same estimates and failures bit for bit:
 
     * ``"batched"`` (default) — the whole city in one call, through
-      shared vectorized kernels (one FFT, one fold-and-scan, one
-      moving-average pass);
+      shared vectorized kernels (one FFT, one superposition fold, one
+      moving-average pass); the cycle stage's fold scan runs per light
+      through a :class:`~repro.core.cycle.FoldScanner`;
     * ``"serial"`` — one call per light (batch-of-one), the reference
       the others are checked against;
     * ``"shard"`` — :func:`repro.core.shard.identify_shard`: the
@@ -207,7 +208,8 @@ def identify_many(
 
     ``partitions`` may be a plain dict or a ``PartitionStore``; passing
     the same store across repeated calls (one per time spot) reuses its
-    cached stop events, report intervals, and speed grids.
+    cached partition views, stop events and report intervals (speed
+    grids depend on the spot and are rebuilt every call).
 
     Pass a :class:`~repro.obs.report.RunReport` as ``report`` to
     aggregate per-stage wall times, pipeline counters, and the failure

@@ -8,8 +8,8 @@ and moves the columns across the boundary through the filesystem page
 cache instead of pickles:
 
 1. the store spills its columns once to mmap-able ``.npy`` files
-   (:meth:`~repro.trace.store.PartitionStore.spilled`, built on the
-   sanctioned ``spill_to`` / ``_swap_backing`` seam);
+   (:meth:`~repro.trace.store.PartitionStore.spilled`, built on
+   ``spill_to``);
 2. ``pmap(common=store)`` then ships only a lightweight handle —
    metadata plus file paths — and ``common_bytes_limit`` enforces that
    zero column bytes ride in the per-worker pickle;

@@ -15,12 +15,11 @@ mechanically checkable: for every light, a fresh batched run over the
 same rows at the recorded eval time must reproduce the published
 estimate bit-for-bit (``tests/test_serve_isolation.py``).
 
-The publish-once contract is also *statically* enforced: the analyzer's
-REP014 rule flags any mutation of a ``Snapshot``-typed value — or of
-anything read back out of a ``_snapshot`` attribute — after the
-publishing swap, at any call depth (DESIGN.md §9).  Keep parameters and
-attributes holding snapshots annotated as ``Snapshot`` so the rule can
-see them.
+Publish-once holds by construction, not by convention: the dataclass is
+frozen, every map is a read-only proxy over a private copy, and
+``plan_changes`` values are tuples, so any write to a published
+snapshot raises where it happens (``test_serve.py`` pins this field by
+field).
 """
 
 from __future__ import annotations

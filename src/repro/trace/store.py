@@ -276,21 +276,6 @@ class PartitionStore:
         self._stops.pop(key, None)
         self._intervals.pop(key, None)
 
-    def _swap_backing(
-        self,
-        columns: Optional[Dict[str, np.ndarray]],
-        mmap_dir: Optional[str],
-    ) -> None:
-        """Flip the column backing between in-memory and memory-mapped.
-
-        Both representations hold bit-identical rows, so no derived
-        cache depends on which one is active and no invalidation is
-        due; this is the single sanctioned column write outside the
-        row-splicing path.
-        """
-        self._columns = columns  # repro: allow[REP007]
-        self._mmap_dir = mmap_dir
-
     def spill_to(self, mmap_dir: str) -> None:
         """Write the columns to ``mmap_dir`` and re-open them mapped.
 
@@ -312,7 +297,10 @@ class PartitionStore:
         # lazily dropped its arrays, and the property reloads them.
         for name, col in self.columns.items():
             np.save(os.path.join(mmap_dir, f"{name}.npy"), col)
-        self._swap_backing(None, mmap_dir)  # reload lazily, memory-mapped
+        # reload lazily, memory-mapped; both backings hold the same
+        # rows, so no derived cache needs invalidating
+        self._columns = None
+        self._mmap_dir = mmap_dir
         if previous is not None:
             _remove_column_files(previous)
 
@@ -346,7 +334,8 @@ class PartitionStore:
             yield self
         finally:
             if self._mmap_dir == token and original is not None:
-                self._swap_backing(original, None)
+                self._columns = original
+                self._mmap_dir = None
                 if own_dir:
                     shutil.rmtree(token, ignore_errors=True)
                 else:
@@ -357,16 +346,12 @@ class PartitionStore:
         """The shared column arrays (lazily re-opened when mapped)."""
         if self._columns is None:
             assert self._mmap_dir is not None
-            self._swap_backing(
-                {
-                    name: np.load(
-                        os.path.join(self._mmap_dir, f"{name}.npy"), mmap_mode="r"
-                    )
-                    for name in _ALL_COLUMNS
-                },
-                self._mmap_dir,
-            )
-        assert self._columns is not None
+            self._columns = {
+                name: np.load(
+                    os.path.join(self._mmap_dir, f"{name}.npy"), mmap_mode="r"
+                )
+                for name in _ALL_COLUMNS
+            }
         return self._columns
 
     def __getstate__(self) -> Dict[str, Any]:

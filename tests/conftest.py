@@ -2,16 +2,52 @@
 
 Simulation + trace generation is the expensive part of the stack, so the
 heavyweight artifacts are session-scoped; tests must treat them as
-read-only.
+read-only.  Every test also runs under a hang watchdog.
 """
 
 from __future__ import annotations
+
+import faulthandler
+import os
 
 import numpy as np
 import pytest
 
 from repro.eval import simulate_and_partition
 from repro.scenario import small_scenario
+
+#: Seconds one test may run before the watchdog dumps every thread's
+#: stack and exits the run with status 1.  The slowest test takes
+#: about 5 s; a deadlocked writer task would otherwise hang the suite
+#: until CI's job timeout with no hint of where it stuck.
+LIMIT_S = 300.0
+
+#: The terminal's stderr, duplicated before any test captures fd 2.
+_WATCHDOG_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    """Keep a handle on the real stderr for the watchdog's dump.
+
+    Output capture is suspended while this hook runs, so fd 2 is the
+    terminal here; inside a test it is pytest's capture file, which a
+    process exiting from the watchdog would never print.
+    """
+    config.stash[_WATCHDOG_FD] = os.dup(2)
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_WATCHDOG_FD])
+
+
+@pytest.fixture(autouse=True)
+def _hang_watchdog(request):
+    """Arm the watchdog for the test's duration."""
+    faulthandler.dump_traceback_later(
+        LIMIT_S, exit=True, file=request.config.stash[_WATCHDOG_FD]
+    )
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

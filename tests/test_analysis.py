@@ -1,24 +1,25 @@
-"""The invariant linter (`repro.analysis`) on fixtures and the real tree.
+"""The invariant linter (`repro.analysis`) on per-file rule fixtures.
 
 Each REP rule gets (a) a minimal bad example it must fire on and
-(b) a minimal good example it must stay silent on; one test then runs
-the whole linter over the actual repository, which is the contract the
-CI gate enforces.  Paths are synthetic strings — ``lint_source`` never
-touches the filesystem — chosen so ``module_path`` maps them into the
-scopes each rule watches.
+(b) a minimal good example it must stay silent on.  The run over the
+actual repository, the contract the CI gate enforces, is
+``tests/test_effects.py::TestBaseline``.  Paths are synthetic strings —
+``lint_source`` never touches the filesystem — chosen so
+``module_path`` maps them into the scopes each rule watches.
 """
 
 from __future__ import annotations
 
-import pathlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.analysis import lint_source, run_paths
+from repro.analysis import lint_source
 from repro.analysis.cli import main
 from repro.analysis.engine import module_path
-
-REPO = pathlib.Path(__file__).resolve().parents[1]
 
 # Synthetic paths inside each rule's scope.
 CORE = "pkg/src/repro/core/somefile.py"
@@ -293,20 +294,6 @@ class TestEngine:
 
 
 # ----------------------------------------------------------------------
-# The real tree is clean — the exact contract CI enforces.
-# ----------------------------------------------------------------------
-class TestRealTree:
-    def test_repository_is_clean(self):
-        paths = [
-            str(REPO / name)
-            for name in ("src", "tests", "benchmarks", "examples")
-            if (REPO / name).is_dir()
-        ]
-        findings = run_paths(paths)
-        assert findings == [], "\n".join(f.render() for f in findings)
-
-
-# ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
 class TestCli:
@@ -346,3 +333,18 @@ class TestCli:
         out = capsys.readouterr().out
         for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
             assert rule_id in out
+
+    def test_import_leaves_numpy_and_scipy_unloaded(self):
+        """The analyzer is pure stdlib, and ``import repro`` imports no
+        subpackage, so a CI run pays for neither numeric library."""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, repro.analysis; "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

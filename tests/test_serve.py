@@ -13,10 +13,12 @@ oracle lives in ``tests/test_serve_isolation.py``.
 """
 
 import asyncio
+import dataclasses
 import json
 
 import pytest
 
+from repro.core import PlanChange
 from repro.obs import RunReport, ServiceStats
 from repro.scenario import synthetic_lights, synthetic_partitions
 from repro.serve import (
@@ -129,10 +131,26 @@ class TestLifecycle:
                 return snap
 
         snap = asyncio.run(main())
-        # published snapshots are immutable: the maps reject writes
+        # published snapshots are immutable: no field can be rebound ...
+        for f in dataclasses.fields(snap):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(snap, f.name, getattr(snap, f.name))
+        # ... no map takes an item write ...
         some_key = sorted(snap.eval_times)[0]
-        with pytest.raises(TypeError):
-            snap.estimates[some_key] = None  # type: ignore[index]
+        for name in ("estimates", "failures", "eval_times", "data_versions", "plan_changes"):
+            with pytest.raises(TypeError):
+                getattr(snap, name)[some_key] = None
+        # ... and plan-change lists are copied into tuples at build time,
+        # so the writer extending its own list later changes nothing
+        assert all(isinstance(v, tuple) for v in snap.plan_changes.values())
+        first = PlanChange(at_time=100.0, old_cycle_s=90.0, new_cycle_s=100.0)
+        changes = [first]
+        built = Snapshot.from_results(
+            "a", version=1, at_time=100.0, n_records=0, results={},
+            plan_changes={some_key: changes},
+        )
+        changes.append(PlanChange(at_time=200.0, old_cycle_s=100.0, new_cycle_s=110.0))
+        assert built.plan_changes[some_key] == (first,)
 
     def test_initial_snapshot_is_version_zero(self):
         snap = Snapshot.initial("a")

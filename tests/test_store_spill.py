@@ -169,22 +169,3 @@ class TestMmapRoundTrip:
                 )
             # the clone reads straight off the mapped files
             assert np.asarray(clone.columns["t"]).flags.writeable is False
-
-    def test_columns_reload_routes_through_swap_backing(self, store, tmp_path):
-        store.spill_to(str(tmp_path / "cols"))
-        assert store._columns is None, "spill drops the arrays for lazy reload"
-        calls = []
-        original = store._swap_backing
-
-        def spy(columns, mmap_dir):
-            calls.append((columns is not None, mmap_dir))
-            original(columns, mmap_dir)
-
-        store._swap_backing = spy
-        try:
-            _ = store.columns
-        finally:
-            del store._swap_backing
-        assert calls == [(True, store._mmap_dir)], (
-            "the lazy reload must go through the sanctioned _swap_backing seam"
-        )

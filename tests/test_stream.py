@@ -234,10 +234,11 @@ class TestStreamSession:
 class TestCoherenceAudit:
     """Regression tests from the whole-program analyzer audit.
 
-    The analyzer (REP007/REP008) proves these contracts structurally;
-    the tests here pin the *runtime* behaviour the structure is meant
-    to guarantee: an ingest leaves the partner's caches intact, and the
-    session result cache keys on both data version and spot time.
+    These pin the store's cache coherence at runtime: an ingest drops
+    the touched light's cached views and leaves the partner's intact,
+    and the session result cache keys on both data version and spot
+    time.  (Dropping ``append_partitions``' invalidation fails two
+    tests in this class, among 29 in tier-1; DESIGN.md §9.)
     """
 
     def test_partner_of_is_an_involution(self, partitions):

@@ -31,21 +31,16 @@ REP009    set-order taint must not cross a call boundary into a
           float reduction
 REP010    kernel call paths stay inside the mypy-strict module tier
 REP011    every ``allow`` suppression still matches a finding
-REP012    no loop-blocking work reachable from an ``async def``
-          (offload through ``run_in_executor``)
-REP013    writer-owned tenant/session state is written only by the
-          writer-task closure
-REP015    quota reserves crossing an ``await`` are try/finally
-          released
-REP016    publish events follow the capture/swap/set protocol
 REP018    parity-reachable reductions are order-stable; ``math.fsum``
           only at allowlisted seams (none today)
 ========  ==========================================================
 
 Run it as ``python -m repro.analysis [paths...]`` (default: the CI
 roots ``src tests benchmarks examples``); suppress a single finding
-with a trailing ``# repro: allow[REP00x]`` comment (REP002 and REP012
-suppressions are themselves only honored at their sanctioned seams).
+with a trailing ``# repro: allow[REP00x]`` comment (REP002
+suppressions are themselves only honored at the sanctioned seam).
+The serve layer's concurrency contracts are runtime tests instead:
+``tests/test_serve.py::TestConcurrencyContracts``.
 """
 
 from .engine import Finding, lint_file, lint_source, run_paths

@@ -1,10 +1,10 @@
 """Module-level call graph over the analyzed tree.
 
 The per-file rules (:mod:`repro.analysis.rules`) see one AST at a time,
-so they cannot prove anything about *pairs* of functions — exactly the
-shape of the two bug classes that have bitten this repo at runtime
-(store mutation without the matching cache invalidation, and objects
-escaping into process-pool workers and being mutated afterwards).  This
+so they cannot prove anything about *pairs* of functions: an object
+escaping into a process-pool worker and mutated afterwards (REP008),
+set-order taint crossing a call into a float reduction (REP009,
+REP018), or a parity kernel reaching an untyped module (REP010).  This
 module supplies the whole-program substrate: every analyzed file is
 parsed once, functions and classes get stable qualified names
 (``repro.trace.store.PartitionStore.append_partitions``), imports —
@@ -20,22 +20,6 @@ see it:
   ``x = ClassName(...)`` constructor assignments, and annotated
   property returns);
 * ``ClassName(...)`` to the class's ``__init__``.
-
-On top of the plain call edges the graph records the **coroutine/task
-topology** the async-discipline rules (REP012–REP016) consume:
-
-* every function knows whether it is an ``async def`` and where its
-  ``await`` points sit (:attr:`FunctionInfo.awaits`);
-* ``create_task(...)`` / ``ensure_future(...)`` spawns are collected
-  into :attr:`CallGraph.task_spawns` — the seed of the writer-task
-  classification (``Tenant.start``'s ``create_task(self._run_writer())``
-  makes ``_run_writer`` a *writer root*);
-* a function **reference** passed as a call argument
-  (``run_guarded(self._apply, item)``) produces a :class:`RefSite` —
-  the callee may invoke it, so reachability-based rules follow the
-  reference; references passed through ``run_in_executor`` are marked
-  ``offload=True``, the sanctioned seam that runs blocking work *off*
-  the event loop.
 
 Resolution is deliberately conservative: an unresolvable call simply
 produces no edge, so downstream rules under-approximate reachability
@@ -53,9 +37,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "module_path",
-    "AwaitSite",
     "CallSite",
-    "RefSite",
     "FunctionInfo",
     "ClassInfo",
     "ModuleInfo",
@@ -65,17 +47,6 @@ __all__ = [
     "dotted_module",
     "own_nodes",
 ]
-
-#: Call names (syntactic tails) that spawn a task from their first
-#: argument.  ``asyncio`` itself is outside the analyzed tree, so the
-#: spawn is recognized by shape, not by resolution.
-_SPAWN_CALLS = frozenset({"create_task", "ensure_future"})
-
-#: The sanctioned offload seam: function references passed through
-#: ``loop.run_in_executor(executor, fn, *args)`` run on a worker
-#: thread, not on the event loop, so blocking taint must not follow
-#: them back into the awaiting coroutine.
-_OFFLOAD_CALLS = frozenset({"run_in_executor"})
 
 
 def module_path(path: str) -> str:
@@ -127,38 +98,6 @@ class CallSite:
     callee_module: Optional[str]
 
 
-@dataclass(frozen=True)
-class AwaitSite:
-    """One ``await`` expression inside a coroutine body.
-
-    ``target`` is the resolved qualname of the awaited call when the
-    expression is a direct ``await fn(...)``; ``detail`` keeps the
-    syntactic dotted form (``self._publish_event.wait``) even when the
-    target lives outside the tree.
-    """
-
-    lineno: int
-    col: int
-    target: Optional[str]
-    detail: str
-
-
-@dataclass(frozen=True)
-class RefSite:
-    """A function *reference* passed as a call argument.
-
-    The receiving callee may invoke the reference, so writer-task
-    reachability follows it.  ``offload=True`` marks references routed
-    through ``run_in_executor`` — still reachable (the code runs), but
-    off the event loop, so loop-blocking taint stops there.
-    """
-
-    lineno: int
-    col: int
-    target: str
-    offload: bool
-
-
 @dataclass
 class FunctionInfo:
     """One analyzed function or method."""
@@ -172,11 +111,8 @@ class FunctionInfo:
     lineno: int
     end_lineno: int
     params: Tuple[str, ...]
-    is_async: bool = False
     decorators: Tuple[str, ...] = ()
     calls: List[CallSite] = field(default_factory=list)
-    awaits: List[AwaitSite] = field(default_factory=list)
-    refs: List[RefSite] = field(default_factory=list)
     #: Per-function type environment, cached by :func:`build_callgraph`
     #: for the effect analysis.
     env: Optional["TypeEnv"] = None
@@ -220,11 +156,6 @@ class CallGraph:
         self.classes: Dict[str, ClassInfo] = {}
         self.edges: Dict[str, Set[str]] = {}
         self.callers: Dict[str, Set[str]] = {}
-        #: spawner qualname -> coroutines it hands to ``create_task`` /
-        #: ``ensure_future``.  These are *task* edges, not call edges:
-        #: the spawned body runs concurrently, so reader-side
-        #: reachability must not walk through them.
-        self.task_spawns: Dict[str, Set[str]] = {}
 
     # -- queries --------------------------------------------------------
     def callees_of(self, qualname: str) -> Set[str]:
@@ -243,28 +174,6 @@ class CallGraph:
                 continue
             seen.add(fn)
             stack.extend(self.edges.get(fn, ()))
-        return seen
-
-    def reachable_with_refs(self, roots: Iterable[str]) -> Set[str]:
-        """Reachability over call edges *and* function references.
-
-        The writer-task closure needs this: ``_run_writer`` hands
-        ``self._apply`` to ``run_guarded`` (and to the executor), so
-        ``_apply`` runs on the writer's behalf even though no direct
-        call edge exists.  Offload references count — the code still
-        executes, just off the loop.
-        """
-        seen: Set[str] = set()
-        stack = [r for r in roots if r in self.functions]
-        while stack:
-            qual = stack.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            stack.extend(self.edges.get(qual, ()))
-            fn = self.functions.get(qual)
-            if fn is not None:
-                stack.extend(ref.target for ref in fn.refs)
         return seen
 
     def resolve_class(self, module: str, name: str) -> Optional[ClassInfo]:
@@ -446,7 +355,6 @@ class _FunctionCollector(ast.NodeVisitor):
             lineno=node.lineno,  # type: ignore[attr-defined]
             end_lineno=getattr(node, "end_lineno", node.lineno),  # type: ignore[attr-defined]
             params=params,
-            is_async=isinstance(node, ast.AsyncFunctionDef),
             decorators=decos,
         )
         # latest definition wins (e.g. @overload stacks, conditional defs)
@@ -675,74 +583,6 @@ def _resolve_call(
     return None, None
 
 
-def _call_tail(func: ast.expr) -> Optional[str]:
-    """Syntactic name a call is spelled with (``loop.create_task`` →
-    ``create_task``), independent of whether the receiver resolves."""
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-def _resolve_func_ref(
-    expr: ast.expr, env: TypeEnv, graph: CallGraph
-) -> Optional[str]:
-    """Resolve a bare (uncalled) expression to an in-tree function.
-
-    Handles ``name`` / ``mod.name`` through imports and ``self.m`` /
-    ``obj.m`` through inferred receiver types.  Class references are
-    deliberately *not* treated as function references: passing a class
-    hands over a constructor, which the construction-exempt effect
-    rules already ignore.
-    """
-    if isinstance(expr, (ast.Name, ast.Attribute)):
-        chain = _dotted(expr)
-        if chain is not None:
-            resolved = _resolve_dotted(chain, env.mod, graph)
-            if resolved in graph.functions:
-                return resolved
-        if isinstance(expr, ast.Attribute):
-            recv_type = env.type_of(expr.value)
-            if recv_type is not None and recv_type in graph.classes:
-                return graph.method_of(graph.classes[recv_type], expr.attr)
-    return None
-
-
-def _collect_call_refs(
-    fn: FunctionInfo, call: ast.Call, env: TypeEnv, graph: CallGraph
-) -> None:
-    """Record spawn edges and function-reference arguments of *call*."""
-    tail = _call_tail(call.func)
-    if tail in _SPAWN_CALLS and call.args:
-        spawned: Optional[str] = None
-        first = call.args[0]
-        if isinstance(first, ast.Call):
-            spawned, _ = _resolve_call(first, env, graph)
-        else:
-            spawned = _resolve_func_ref(first, env, graph)
-        if spawned is not None:
-            graph.task_spawns.setdefault(fn.qualname, set()).add(spawned)
-        return
-    offload = tail in _OFFLOAD_CALLS
-    # run_in_executor(executor, fn, *args): the executor argument is
-    # never invoked, everything after it may be (run_guarded calls the
-    # function reference it is handed).
-    args = call.args[1:] if offload else list(call.args)
-    values = list(args) + [kw.value for kw in call.keywords]
-    for value in values:
-        target = _resolve_func_ref(value, env, graph)
-        if target is not None:
-            fn.refs.append(
-                RefSite(
-                    lineno=value.lineno,
-                    col=value.col_offset,
-                    target=target,
-                    offload=offload,
-                )
-            )
-
-
 #: Memo for :func:`own_nodes`, keyed by node identity.  Function nodes
 #: are walked by every effect collector and most program rules; the
 #: walk is pure, so sharing one result per node is safe.  The node
@@ -805,26 +645,11 @@ def build_callgraph(
         _FunctionCollector(graph, mod).visit(mod.tree)
     _class_bases_resolve(graph)
     _collect_attr_types(graph)
-    # resolve calls, awaits, spawns, and function-reference arguments
+    # resolve every call site
     for fn in graph.functions.values():
         env = TypeEnv(graph, fn)
         fn.env = env
         for node in own_nodes(fn.node):
-            if isinstance(node, ast.Await):
-                target: Optional[str] = None
-                detail_node: ast.expr = node.value
-                if isinstance(node.value, ast.Call):
-                    target, _ = _resolve_call(node.value, env, graph)
-                    detail_node = node.value.func
-                fn.awaits.append(
-                    AwaitSite(
-                        lineno=node.lineno,
-                        col=node.col_offset,
-                        target=target,
-                        detail=_dotted(detail_node) or "<expr>",
-                    )
-                )
-                continue
             if not isinstance(node, ast.Call):
                 continue
             callee, callee_module = _resolve_call(node, env, graph)
@@ -839,7 +664,6 @@ def build_callgraph(
             if callee is not None:
                 graph.edges.setdefault(fn.qualname, set()).add(callee)
                 graph.callers.setdefault(callee, set()).add(fn.qualname)
-            _collect_call_refs(fn, node, env, graph)
     return graph
 
 

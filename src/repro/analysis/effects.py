@@ -20,22 +20,7 @@ comprehension transforms and across call boundaries; summaries track
 whether a function *returns* unordered data and which parameters it
 feeds into order-sensitive float reductions, so the taint is followed
 through calls (the interprocedural generalization of REP006).
-
-**Loop-blocking taint** (REP012).  An ``async def`` body must never
-run CPU-heavy or synchronously-waiting code on the event loop: one
-``identify_batch`` call inline stalls *every* tenant's latency SLO at
-once.  Summaries record local blocking primitives (``time.sleep``,
-sync file I/O, ``subprocess``, process-pool fan-outs, anything defined
-in the identification-kernel modules) and propagate a ``may_block``
-bit through call edges *and* function-reference arguments — stopping
-at ``run_in_executor`` references, the sanctioned offload seam.
-
-**Tenant/session write sets** (REP013/REP016).  Summaries
-record which ``self.<attr>`` slots each method writes (assignment,
-augmented assignment, deletion, or a mutating method call, including
-through local aliases).  Combined with the writer-task closure seeded
-from ``create_task`` spawns, the rules classify every attribute as
-writer-owned or reader-side and prove the single-writer discipline.
+REP018 reuses the same taint inside the parity kernels' closure.
 """
 
 from __future__ import annotations
@@ -56,13 +41,10 @@ from .callgraph import (
     CallSite,
     FunctionInfo,
     build_callgraph,
-    module_path,
     own_nodes,
 )
 
 __all__ = [
-    "CONSTRUCTION_EXEMPT",
-    "BLOCKING_KERNEL_FILES",
     "Site",
     "EffectSummary",
     "Program",
@@ -100,41 +82,6 @@ _ORDER_PRESERVING = frozenset({"list", "iter", "tuple", "reversed", "enumerate"}
 #: Calls that impose a canonical order — taint is cleansed.
 _ORDER_CLEANSING = frozenset({"sorted", "sort", "min", "max", "len", "frozenset"})
 
-#: Modules whose *every* function is a loop-blocking primitive: the
-#: identification kernels (REP005/REP010's analyzable surface) plus the
-#: shard dispatch layer.  One inline call from a coroutine stalls every
-#: tenant sharing the event loop.
-BLOCKING_KERNEL_FILES = frozenset(
-    {
-        "repro/core/batch.py",
-        "repro/core/cycle.py",
-        "repro/core/superposition.py",
-        "repro/core/changepoint.py",
-        "repro/core/shard.py",
-    }
-)
-
-#: Out-of-tree calls that synchronously block, by canonical dotted name
-#: (import aliases resolved).  Deliberately small: ``open``/``sleep``/
-#: ``subprocess`` are unambiguous; method tails like ``.result()`` or
-#: ``.read()`` are too generic to match without receiver types.
-_BLOCKING_CALLS = frozenset(
-    {
-        "open",
-        "time.sleep",
-        "os.system",
-        "subprocess.run",
-        "subprocess.call",
-        "subprocess.check_call",
-        "subprocess.check_output",
-        "subprocess.Popen",
-    }
-)
-
-#: In-tree pool entry points: they join worker processes, so the *call*
-#: blocks even though the work itself runs elsewhere.
-_POOL_BLOCKING = frozenset({"pmap", "pmap_seeded"})
-
 
 @dataclass(frozen=True)
 class Site:
@@ -158,23 +105,6 @@ class EffectSummary:
     # -- set-order taint ------------------------------------------------
     returns_unordered: bool = False
     unordered_sink_params: Set[str] = field(default_factory=set)
-    # -- async discipline -----------------------------------------------
-    #: Local loop-blocking primitives in this body (time.sleep, open,
-    #: pool fan-outs, ...).
-    blocking_sites: List[Site] = field(default_factory=list)
-    #: ``self.<attr>`` slots this method writes (assignment, aug-assign,
-    #: deletion, mutating method call — incl. through local aliases),
-    #: excluding construction.
-    self_attr_writes: List[Tuple[str, Site]] = field(default_factory=list)
-    # -- transitive bits (fixpoint) -------------------------------------
-    #: Whether calling this function may block the event loop, and the
-    #: qualname chain that first proved it (for messages).
-    may_block: bool = False
-    block_chain: Tuple[str, ...] = ()
-    #: Post-fixpoint anchors for REP012: every site in *this* body that
-    #: enters a blocking chain (local primitive, call edge, or
-    #: non-offload function reference), sorted and deduped by line.
-    loop_block_anchors: List[Site] = field(default_factory=list)
 
 
 @dataclass
@@ -186,16 +116,6 @@ class Program:
     #: Shared pytest fixtures: name -> defining function qualname, for
     #: every ``@pytest.fixture(scope="session"|"module")`` in the tree.
     shared_fixtures: Dict[str, str]
-    #: Coroutines handed to ``create_task``/``ensure_future`` by library
-    #: code (``Tenant.start`` spawning ``_run_writer``): the roots of
-    #: the writer-task classification.  Spawns in tests/benchmarks are
-    #: producers driving the system, not writer tasks, so they do not
-    #: seed this set.
-    writer_roots: Set[str] = field(default_factory=set)
-    #: Everything the writer task may execute — the closure of the
-    #: roots over call edges *and* function references (``_run_writer``
-    #: hands ``self._apply`` to ``run_guarded`` / the executor).
-    writer_reachable: Set[str] = field(default_factory=set)
 
 
 # ----------------------------------------------------------------------
@@ -207,11 +127,6 @@ def _root_name(node: ast.expr) -> Optional[str]:
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
-
-
-CONSTRUCTION_EXEMPT = frozenset(
-    {"__init__", "__new__", "__setstate__", "__getstate__", "_init_derived"}
-)
 
 
 def _escape_sites(fn: FunctionInfo, node: ast.Call) -> List[str]:
@@ -338,152 +253,6 @@ def _local_isolation_effects(fn: FunctionInfo, summary: EffectSummary) -> None:
                 summary.mutated_params.add(root)
 
 
-def _canonical_call_name(node: ast.Call, graph: CallGraph, fn: FunctionInfo) -> Optional[str]:
-    """Dotted call name with the head resolved through import aliases.
-
-    ``sleep(...)`` after ``from time import sleep`` → ``time.sleep``;
-    ``sp.run(...)`` after ``import subprocess as sp`` →
-    ``subprocess.run``.
-    """
-    func = node.func
-    parts: List[str] = []
-    n: ast.AST = func
-    while isinstance(n, ast.Attribute):
-        parts.append(n.attr)
-        n = n.value
-    if not isinstance(n, ast.Name):
-        return None
-    parts.append(n.id)
-    parts.reverse()
-    mod = graph.modules.get(fn.module)
-    if mod is not None and parts[0] in mod.imports:
-        head = mod.imports[parts[0]]
-        return ".".join([head] + parts[1:])
-    return ".".join(parts)
-
-
-def _local_blocking_effects(
-    fn: FunctionInfo, graph: CallGraph, summary: EffectSummary
-) -> None:
-    """Loop-blocking primitives called directly from *fn*'s body."""
-    for site in fn.calls:
-        detail: Optional[str] = None
-        if site.callee is not None:
-            callee_fn = graph.functions.get(site.callee)
-            if callee_fn is not None:
-                if module_path(callee_fn.path) in BLOCKING_KERNEL_FILES:
-                    detail = f"{site.callee} runs kernel code on the calling thread"
-                elif callee_fn.name in _POOL_BLOCKING:
-                    detail = f"{site.callee} joins a process pool"
-        if detail is None:
-            canonical = _canonical_call_name(site.node, graph, fn)
-            if canonical in _BLOCKING_CALLS:
-                detail = f"{canonical}() blocks the calling thread"
-            elif (
-                canonical is not None
-                and canonical.split(".")[-1] in _POOL_BLOCKING
-            ):
-                detail = f"{canonical} joins a process pool"
-        if detail is not None:
-            summary.blocking_sites.append(
-                Site(fn.path, site.lineno, site.node.col_offset, detail)
-            )
-
-
-def _self_attr_of(node: ast.AST) -> Optional[str]:
-    """First attribute above ``self`` in a target/receiver chain.
-
-    ``self._plan_changes.setdefault(k, []).extend(v)`` →
-    ``_plan_changes``; chains rooted elsewhere return ``None``.
-    """
-    attr: Optional[str] = None
-    while True:
-        if isinstance(node, ast.Attribute):
-            attr = node.attr
-            node = node.value
-        elif isinstance(node, ast.Subscript):
-            node = node.value
-        elif isinstance(node, ast.Call):
-            node = node.func
-        else:
-            break
-    if isinstance(node, ast.Name) and node.id == "self":
-        return attr
-    return None
-
-
-def _self_alias_map(fn: FunctionInfo) -> Dict[str, str]:
-    """Local name -> self attribute for ``x = self.attr`` aliases."""
-    aliases: Dict[str, str] = {}
-    for node in own_nodes(fn.node):
-        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-            continue
-        tgt = node.targets[0]
-        value = node.value
-        if (
-            isinstance(tgt, ast.Name)
-            and isinstance(value, ast.Attribute)
-            and isinstance(value.value, ast.Name)
-            and value.value.id == "self"
-        ):
-            aliases[tgt.id] = value.attr
-    return aliases
-
-
-def _local_state_effects(fn: FunctionInfo, summary: EffectSummary) -> None:
-    """``self.<attr>`` writes in *fn*'s own body, excluding construction."""
-    if fn.name in CONSTRUCTION_EXEMPT or fn.cls is None:
-        return
-    aliases = _self_alias_map(fn)
-    for node in own_nodes(fn.node):
-        targets: List[ast.expr] = []
-        kind = ""
-        if isinstance(node, ast.Assign):
-            targets, kind = list(node.targets), "assignment"
-        elif isinstance(node, ast.AugAssign):
-            targets, kind = [node.target], "augmented assignment"
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, kind = [node.target], "assignment"
-        elif isinstance(node, ast.Delete):
-            targets, kind = list(node.targets), "deletion"
-        for tgt in targets:
-            attr = _self_attr_of(tgt)
-            if attr is not None:
-                summary.self_attr_writes.append(
-                    (
-                        attr,
-                        Site(
-                            fn.path,
-                            tgt.lineno,
-                            tgt.col_offset,
-                            f"{kind} to self.{attr}",
-                        ),
-                    )
-                )
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATORS
-        ):
-            attr = _self_attr_of(node.func.value)
-            if attr is None:
-                root = _root_name(node.func.value)
-                if root is not None and root in aliases:
-                    attr = aliases[root]
-            if attr is not None:
-                summary.self_attr_writes.append(
-                    (
-                        attr,
-                        Site(
-                            fn.path,
-                            node.lineno,
-                            node.col_offset,
-                            f".{node.func.attr}(...) on self.{attr}",
-                        ),
-                    )
-                )
-
-
 def unordered_locals(fn: FunctionInfo, effects: Dict[str, EffectSummary]) -> Set[str]:
     """Names bound to set-order-tainted values in *fn* (one pass)."""
     tainted: Set[str] = set()
@@ -584,10 +353,10 @@ def _call_site_of(fn: FunctionInfo, node: ast.Call) -> Optional[CallSite]:
 def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
     """Iterate summaries to a fixpoint over the call graph.
 
-    Monotone boolean/set lattice, so termination is bounded by the
-    total number of bits; the loop re-sweeps every function until a
-    full sweep changes nothing (handles recursion and mutual recursion
-    without special cases).
+    Parameter mutations grow monotonically, so termination is bounded
+    by the total number of parameters; the loop re-sweeps every
+    function until a full sweep changes nothing (handles recursion and
+    mutual recursion without special cases).
     """
     changed = True
     sweeps = 0
@@ -597,40 +366,13 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
         sweeps += 1
         for fn in graph.functions.values():
             summary = effects[fn.qualname]
-            before = (
-                summary.may_block,
-                len(summary.mutated_params),
-                summary.returns_unordered,
-                len(summary.unordered_sink_params),
-            )
-            if summary.blocking_sites and not summary.may_block:
-                summary.may_block = True
-                summary.block_chain = (summary.blocking_sites[0].detail,)
-            for ref in fn.refs:
-                # blocking taint follows sync references only: handing
-                # over a coroutine function does not run it, and an
-                # offload reference runs off the loop by construction
-                if ref.offload or graph.functions[ref.target].is_async:
-                    continue
-                target = effects.get(ref.target)
-                if target is not None and target.may_block and not summary.may_block:
-                    summary.may_block = True
-                    summary.block_chain = (ref.target,) + target.block_chain
+            before = len(summary.mutated_params)
             for site in fn.calls:
                 if site.callee is None:
                     continue
                 callee = effects.get(site.callee)
                 if callee is None:
                     continue
-                if (
-                    callee.may_block
-                    and not summary.may_block
-                    # an async callee blocks inside its own body — the
-                    # finding anchors there, not at every await of it
-                    and not graph.functions[site.callee].is_async
-                ):
-                    summary.may_block = True
-                    summary.block_chain = (site.callee,) + callee.block_chain
                 # parameter mutation propagation: passing my param as a
                 # positional arg into a mutating parameter of the callee
                 callee_fn = graph.functions[site.callee]
@@ -676,13 +418,7 @@ def _propagate(graph: CallGraph, effects: Dict[str, EffectSummary]) -> None:
                             summary.mutations.append(anchor)
                         if kw.value.id in fn.params:
                             summary.mutated_params.add(kw.value.id)
-            after = (
-                summary.may_block,
-                len(summary.mutated_params),
-                summary.returns_unordered,
-                len(summary.unordered_sink_params),
-            )
-            if after != before:
+            if len(summary.mutated_params) != before:
                 changed = True
 
 
@@ -814,68 +550,6 @@ def _collect_shared_fixtures(graph: CallGraph) -> Dict[str, str]:
 
 
 # ----------------------------------------------------------------------
-# Async topology (post-fixpoint)
-# ----------------------------------------------------------------------
-
-def _collect_block_anchors(
-    graph: CallGraph, effects: Dict[str, EffectSummary]
-) -> None:
-    """Anchor every entry into a blocking chain at its own call/ref site.
-
-    Runs after the fixpoint so ``may_block`` is final; anchors are
-    deduped per line (a pool call and the kernel reference it carries
-    share one report) and sorted, keeping findings deterministic.
-    """
-    for fn in graph.functions.values():
-        summary = effects[fn.qualname]
-        anchors = list(summary.blocking_sites)
-        for site in fn.calls:
-            if site.callee is None or graph.functions[site.callee].is_async:
-                continue
-            callee = effects.get(site.callee)
-            if callee is not None and callee.may_block:
-                chain = " -> ".join((site.callee,) + callee.block_chain)
-                anchors.append(
-                    Site(
-                        fn.path,
-                        site.lineno,
-                        site.node.col_offset,
-                        f"calls into blocking chain: {chain}",
-                    )
-                )
-        for ref in fn.refs:
-            if ref.offload or graph.functions[ref.target].is_async:
-                continue
-            target = effects.get(ref.target)
-            if target is not None and target.may_block:
-                chain = " -> ".join((ref.target,) + target.block_chain)
-                anchors.append(
-                    Site(
-                        fn.path,
-                        ref.lineno,
-                        ref.col,
-                        f"hands over a reference into blocking chain: {chain}",
-                    )
-                )
-        anchors.sort(key=lambda s: (s.lineno, s.col, s.detail))
-        deduped: List[Site] = []
-        for site_ in anchors:
-            if not deduped or deduped[-1].lineno != site_.lineno:
-                deduped.append(site_)
-        summary.loop_block_anchors = deduped
-
-
-def _writer_closure(graph: CallGraph) -> Tuple[Set[str], Set[str]]:
-    """(writer roots, writer-reachable closure) over library spawns."""
-    roots: Set[str] = set()
-    for spawner, targets in graph.task_spawns.items():
-        fn = graph.functions.get(spawner)
-        if fn is not None and module_path(fn.path).startswith("repro/"):
-            roots |= targets
-    return roots, graph.reachable_with_refs(sorted(roots))
-
-
-# ----------------------------------------------------------------------
 # Entry point
 # ----------------------------------------------------------------------
 
@@ -893,22 +567,12 @@ def build_program(
     effects: Dict[str, EffectSummary] = {}
     for fn in graph.functions.values():
         summary = EffectSummary(qualname=fn.qualname)
-        if module_path(fn.path) in BLOCKING_KERNEL_FILES:
-            # every kernel-module function is a blocking primitive
-            summary.may_block = True
-            summary.block_chain = (f"defined in {module_path(fn.path)}",)
         _local_isolation_effects(fn, summary)
-        _local_blocking_effects(fn, graph, summary)
-        _local_state_effects(fn, summary)
         effects[fn.qualname] = summary
     _propagate(graph, effects)
     _propagate_order_taint(graph, effects)
-    _collect_block_anchors(graph, effects)
-    writer_roots, writer_reachable = _writer_closure(graph)
     return Program(
         graph=graph,
         effects=effects,
         shared_fixtures=_collect_shared_fixtures(graph),
-        writer_roots=writer_roots,
-        writer_reachable=writer_reachable,
     )

@@ -4,9 +4,8 @@ Separated from :mod:`repro.analysis.rules` so rules stay declarative
 and the driver owns everything positional: path normalization, the
 trailing ``allow[REP00x]`` suppression protocol, the whole-program
 pass (call graph + effect summaries feeding the REP008+ rules), the
-unused-suppression audit (REP011), and the policy that scoped
-suppressions (REP002, REP012) are only honored at their sanctioned
-files.
+unused-suppression audit (REP011), and the policy that a scoped
+suppression (REP002's) is only honored at its sanctioned files.
 """
 
 from __future__ import annotations
@@ -78,11 +77,11 @@ def _unsanctioned_suppressions(
 ) -> Tuple[List[Finding], Set[Tuple[str, int, str]]]:
     """Scoped suppressions used outside their sanctioned files.
 
-    An ``allow`` comment for REP002/REP012 anywhere except its
-    sanctioned seam would quietly re-open the bug class the rule
-    closes, so the suppression itself is a violation (and cannot be
-    suppressed).  Returns the findings plus the ``(path, line, rule)``
-    keys they account for, so the unused-suppression audit does not
+    An ``allow`` comment for REP002 anywhere except its sanctioned
+    seam would quietly re-open the bug class the rule closes, so the
+    suppression itself is a violation (and cannot be suppressed).
+    Returns the findings plus the ``(path, line, rule)`` keys they
+    account for, so the unused-suppression audit does not
     double-report them.
     """
     findings: List[Finding] = []

@@ -20,12 +20,10 @@ from dataclasses import dataclass
 from fnmatch import fnmatch
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .callgraph import FunctionInfo, module_path, own_nodes
+from .callgraph import module_path, own_nodes
 from .effects import (
-    CONSTRUCTION_EXEMPT,
     Program,
     Site,
-    _self_attr_of,
     call_tainted_locals,
     expr_unordered,
     unordered_locals,
@@ -65,18 +63,9 @@ CONTAINMENT_SEAMS = (
     "repro/parallel/pool.py",
 )
 
-#: Files allowed to carry an ``allow[REP012]``: the tenant writer, whose
-#: inline (``executor=None``) apply branch deliberately runs the
-#: identification kernel on the loop — the fully deterministic posture
-#: the virtual-clock concurrency tests rely on.
-ASYNC_SEAM_FILES = (
-    "repro/serve/tenant.py",
-)
-
 #: Rules whose suppression comments are only honored in specific files.
 SUPPRESSION_SCOPE: Dict[str, Tuple[str, ...]] = {
     "REP002": CONTAINMENT_SEAMS,
-    "REP012": ASYNC_SEAM_FILES,
 }
 
 #: Parity-critical kernels: every float op here must be bit-for-bit
@@ -344,6 +333,11 @@ class RngSeamRule(Rule):
 
     def check(self, tree: ast.AST, path: str, mod_path: str) -> Iterator[Finding]:
         aliases = _import_aliases(tree)
+        allowed = (
+            self._ALLOWED_NP_RANDOM
+            if _is_library(mod_path)
+            else self._ALLOWED_NP_RANDOM_TESTS
+        )
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 for name in node.names:
@@ -355,36 +349,42 @@ class RngSeamRule(Rule):
                             "numpy Generator via repro._util.as_rng instead",
                         )
             elif isinstance(node, ast.ImportFrom):
-                if node.module == "random" and node.level == 0:
+                if node.level != 0:
+                    continue
+                if node.module == "random":
                     yield self.finding(
                         path,
                         node,
                         "stdlib `random` is process-global state; thread a "
                         "numpy Generator via repro._util.as_rng instead",
                     )
+                elif node.module == "numpy.random":
+                    # a from-import binds a bare name the Attribute
+                    # branch below never sees
+                    for name in node.names:
+                        if name.name not in allowed:
+                            yield self._bypass(path, node, f"numpy.random.{name.name}")
             elif isinstance(node, ast.Attribute):
                 chain = canonical(node, aliases)
                 if chain is None:
                     continue
                 parts = chain.split(".")
-                allowed = (
-                    self._ALLOWED_NP_RANDOM
-                    if _is_library(mod_path)
-                    else self._ALLOWED_NP_RANDOM_TESTS
-                )
                 if (
                     len(parts) >= 3
                     and parts[0] == "numpy"
                     and parts[1] == "random"
                     and parts[2] not in allowed
                 ):
-                    yield self.finding(
-                        path,
-                        node,
-                        f"`{chain}` bypasses the RNG seams; use "
-                        f"repro._util.as_rng / seed_sequence_for so callers "
-                        f"control the stream",
-                    )
+                    yield self._bypass(path, node, chain)
+
+    def _bypass(self, path: str, node: ast.AST, name: str) -> Finding:
+        return self.finding(
+            path,
+            node,
+            f"`{name}` bypasses the RNG seams; use "
+            f"repro._util.as_rng / seed_sequence_for so callers "
+            f"control the stream",
+        )
 
 
 class WallClockRule(Rule):
@@ -869,509 +869,6 @@ class StrictFrontierRule(ProgramRule):
                 )
 
 
-# ----------------------------------------------------------------------
-# Async-discipline rules (REP012–REP016): the serving layer's contracts
-# ----------------------------------------------------------------------
-
-
-def _awaits_with_trys(
-    fn_node: ast.AST,
-) -> List[Tuple[ast.Await, List[ast.Try]]]:
-    """Every ``await`` in *fn_node*'s own body with its enclosing trys."""
-    out: List[Tuple[ast.Await, List[ast.Try]]] = []
-
-    def visit(node: ast.AST, trys: List[ast.Try]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(
-                child,
-                (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef),
-            ):
-                continue
-            if isinstance(child, ast.Await):
-                out.append((child, list(trys)))
-            if isinstance(child, ast.Try):
-                visit(child, trys + [child])
-            else:
-                visit(child, trys)
-
-    visit(fn_node, [])
-    return out
-
-
-def _sorted_own_nodes(fn_node: ast.AST) -> List[ast.AST]:
-    return sorted(
-        own_nodes(fn_node),
-        key=lambda n: (getattr(n, "lineno", 0), getattr(n, "col_offset", 0)),
-    )
-
-
-class LoopBlockingRule(ProgramRule):
-    """REP012 — no loop-blocking call reachable from an ``async def`` body.
-
-    One inline ``identify_batch`` (or ``time.sleep``, file read, pool
-    join, ...) on the event loop stalls *every* tenant's reads at once —
-    the whole-fleet latency regression the serving layer's SLO tests
-    can only sample.  The effect layer propagates a ``may_block`` bit
-    through sync call edges and function-reference arguments; this rule
-    reports every site where a coroutine enters such a chain.  The one
-    sanctioned exception is the ``run_in_executor`` offload seam
-    (references routed through it run off-loop and carry no taint);
-    ``Tenant._run_writer``'s deliberate inline branch carries the only
-    sanctioned ``allow[REP012]``.
-    """
-
-    id = "REP012"
-    summary = "loop-blocking call reachable from an async def (offload via run_in_executor)"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for qualname in sorted(program.graph.functions):
-            fn = program.graph.functions[qualname]
-            if not fn.is_async or not _in_library(fn.path):
-                continue
-            summary = program.effects[qualname]
-            for site in summary.loop_block_anchors:
-                yield self.finding_at(
-                    site.path,
-                    site.lineno,
-                    site.col,
-                    f"`{qualname}` is async but {site.detail}; this stalls "
-                    f"every coroutine sharing the loop — offload through "
-                    f"run_in_executor (the Tenant._run_writer seam) or move "
-                    f"the work out of the coroutine",
-                )
-
-
-class SingleWriterRule(ProgramRule):
-    """REP013 — writer-owned state is written only by the writer task.
-
-    The serving layer's isolation story is a single-writer protocol:
-    exactly one task per tenant (spawned by ``Tenant.start`` via
-    ``create_task(self._run_writer())``) applies chunks and publishes
-    snapshots, so readers never need a lock.  Any attribute the writer
-    closure writes (``Tenant._snapshot``, the ``StreamSession`` state,
-    the store columns...) is *writer-owned*; a reader-side coroutine
-    reaching a write to it — directly or through any depth of helpers —
-    reintroduces the mixed-version race the PR 7 snapshot swap was
-    built to kill.  Construction paths (``__init__`` and friends) run
-    before the object is shared and are exempt.
-    """
-
-    id = "REP013"
-    summary = "writer-owned tenant/session state written from a reader-side coroutine"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        graph = program.graph
-        if not program.writer_roots:
-            return
-        owned: Dict[Tuple[str, str], Site] = {}
-        for qualname in sorted(program.writer_reachable):
-            fn = graph.functions.get(qualname)
-            if fn is None or fn.cls is None:
-                continue
-            for attr, site in program.effects[qualname].self_attr_writes:
-                owned.setdefault((fn.cls, attr), site)
-        if not owned:
-            return
-        for entry_qual in sorted(graph.functions):
-            entry = graph.functions[entry_qual]
-            if (
-                not entry.is_async
-                or not _in_library(entry.path)
-                or entry_qual in program.writer_reachable
-            ):
-                continue
-            parents = self._reader_closure(program, entry_qual)
-            reported: set = set()
-            for qual in sorted(parents):
-                fn = graph.functions[qual]
-                if fn.cls is None:
-                    continue
-                for attr, wsite in program.effects[qual].self_attr_writes:
-                    key = (fn.cls, attr)
-                    if key not in owned or key in reported:
-                        continue
-                    reported.add(key)
-                    yield self._report(program, entry, qual, parents, attr, wsite, owned[key])
-
-    @staticmethod
-    def _reader_closure(
-        program: Program, entry_qual: str
-    ) -> Dict[str, Optional[str]]:
-        """BFS parents from a reader entry.
-
-        Task spawns are not call paths (the spawned body runs in its
-        own task), and construction-exempt functions run before the
-        object is shared — neither is traversed.
-        """
-        graph = program.graph
-        parents: Dict[str, Optional[str]] = {entry_qual: None}
-        queue = [entry_qual]
-        while queue:
-            cur = queue.pop(0)
-            fn = graph.functions[cur]
-            spawned = graph.task_spawns.get(cur, set())
-            nexts = set(graph.edges.get(cur, set())) - spawned
-            nexts |= {ref.target for ref in fn.refs}
-            for nxt in sorted(nexts):
-                if nxt in parents or nxt not in graph.functions:
-                    continue
-                if graph.functions[nxt].name in CONSTRUCTION_EXEMPT:
-                    continue
-                parents[nxt] = cur
-                queue.append(nxt)
-        return parents
-
-    def _report(
-        self,
-        program: Program,
-        entry: FunctionInfo,
-        writer_fn: str,
-        parents: Dict[str, Optional[str]],
-        attr: str,
-        wsite: Site,
-        owner_site: Site,
-    ) -> Finding:
-        chain: List[str] = []
-        cur: Optional[str] = writer_fn
-        while cur is not None:
-            chain.append(cur)
-            cur = parents[cur]
-        chain.reverse()
-        cls_name = (program.graph.functions[writer_fn].cls or "").split(".")[-1]
-        if len(chain) == 1:
-            anchor = wsite
-            route = f"writes `{cls_name}.{attr}` directly ({wsite.detail})"
-        else:
-            anchor = self._entry_anchor(entry, chain[1]) or wsite
-            route = (
-                f"reaches a write to `{cls_name}.{attr}` via "
-                f"{' -> '.join(q.split('.')[-1] for q in chain)} "
-                f"({wsite.path}:{wsite.lineno})"
-            )
-        return self.finding_at(
-            anchor.path,
-            anchor.lineno,
-            anchor.col,
-            f"`{entry.qualname}` is a reader-side coroutine but {route}; "
-            f"`{cls_name}.{attr}` is writer-owned (the writer task also "
-            f"writes it at {owner_site.path}:{owner_site.lineno}), so this "
-            f"races the single-writer protocol — route the mutation through "
-            f"the writer queue",
-        )
-
-    @staticmethod
-    def _entry_anchor(entry: FunctionInfo, first_hop: str) -> Optional[Site]:
-        for cs in entry.calls:
-            if cs.callee == first_hop:
-                return Site(entry.path, cs.lineno, cs.node.col_offset, "")
-        for ref in entry.refs:
-            if ref.target == first_hop:
-                return Site(entry.path, ref.lineno, ref.col, "")
-        return Site(entry.path, entry.lineno, 0, "")
-
-
-class QuotaRollbackRule(ProgramRule):
-    """REP015 — a quota reserve crossing an await must roll back on failure.
-
-    ``Tenant.submit`` reserves lights *before* its first await so
-    concurrent submits see a consistent budget; if the coroutine is
-    then cancelled (or the writer dies) while parked on the queue, an
-    unprotected reserve leaks quota forever.  Detection is structural:
-    an attribute compared against a ``*Quota`` limit is a reserve
-    counter; growing it (``+=`` / ``|=``) and then awaiting requires
-    every later await to sit inside a ``try`` whose ``finally`` (or
-    handler) releases the same attribute.
-    """
-
-    id = "REP015"
-    summary = "quota reserve held across an await without a try/finally release"
-
-    _GROW_OPS = (ast.Add, ast.BitOr)
-    _RELEASE_CALLS = frozenset(
-        {"discard", "remove", "difference_update", "clear", "pop"}
-    )
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        graph = program.graph
-        reserve_attrs: Dict[str, frozenset] = {}
-        for cls_qual in sorted(graph.classes):
-            attrs = self._reserve_attrs(program, cls_qual)
-            if attrs:
-                reserve_attrs[cls_qual] = attrs
-        for qualname in sorted(graph.functions):
-            fn = graph.functions[qualname]
-            if (
-                not fn.is_async
-                or not _in_library(fn.path)
-                or fn.cls is None
-                or fn.cls not in reserve_attrs
-            ):
-                continue
-            reserves = reserve_attrs[fn.cls]
-            awaits = _awaits_with_trys(fn.node)
-            for node in _sorted_own_nodes(fn.node):
-                if not isinstance(node, ast.AugAssign) or not isinstance(
-                    node.op, self._GROW_OPS
-                ):
-                    continue
-                attr = _self_attr_of(node.target)
-                if attr is None or attr not in reserves:
-                    continue
-                for aw, trys in awaits:
-                    if aw.lineno <= node.lineno:
-                        continue
-                    if any(self._try_releases(t, attr) for t in trys):
-                        continue
-                    yield self.finding_at(
-                        fn.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"`{qualname}` reserves quota state `self.{attr}` "
-                        f"and then awaits at line {aw.lineno} outside any "
-                        f"try/finally that releases it; a cancellation (or "
-                        f"crash surfacing at the await) leaks the reserve "
-                        f"forever — wrap the awaits and roll back in "
-                        f"finally",
-                    )
-                    break
-                else:
-                    continue
-
-    @staticmethod
-    def _reserve_attrs(program: Program, cls_qual: str) -> frozenset:
-        """Self attributes compared against a ``*Quota`` limit."""
-        graph = program.graph
-        cls = graph.classes[cls_qual]
-        out: set = set()
-        for method_qual in sorted(cls.methods.values()):
-            fn = graph.functions.get(method_qual)
-            if fn is None or fn.env is None:
-                continue
-            for node in own_nodes(fn.node):
-                if not isinstance(node, ast.Compare):
-                    continue
-                self_attrs: set = set()
-                quota_read = False
-                for sub in ast.walk(node):
-                    if not isinstance(sub, ast.Attribute):
-                        continue
-                    recv = fn.env.type_of(sub.value)
-                    if recv is not None and recv.split(".")[-1].endswith("Quota"):
-                        quota_read = True
-                        continue
-                    attr = _self_attr_of(sub)
-                    if attr is not None:
-                        self_attrs.add(attr)
-                if quota_read:
-                    out |= self_attrs
-        return frozenset(out)
-
-    @classmethod
-    def _try_releases(cls, try_node: ast.Try, attr: str) -> bool:
-        """Whether the try's finally/handlers release ``self.<attr>``."""
-        regions: List[ast.stmt] = list(try_node.finalbody)
-        for handler in try_node.handlers:
-            regions.extend(handler.body)
-        for stmt in regions:
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.AugAssign) and isinstance(
-                    node.op, ast.Sub
-                ):
-                    if _self_attr_of(node.target) == attr:
-                        return True
-                elif isinstance(node, ast.Assign):
-                    for tgt in node.targets:
-                        if _self_attr_of(tgt) == attr:
-                            return True
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in cls._RELEASE_CALLS
-                    and _self_attr_of(node.func.value) == attr
-                ):
-                    return True
-        return False
-
-
-class PublishEventRule(ProgramRule):
-    """REP016 — the publish event is swapped fresh, then the old one set.
-
-    ``Tenant._wake`` wakes freshness-waiting readers with a
-    swap-and-set: capture the current event, install a *fresh*
-    ``asyncio.Event``, then set the captured one.  Every ordering
-    mistake is a lost-wakeup or deadlock: setting before the swap lets
-    a reader re-wait on the already-set event and sleep forever;
-    swapping without setting strands every parked reader; ``clear()``
-    races wakers by design; and the writer awaiting its own publish
-    event deadlocks the tenant (only the writer sets it).  The rule
-    applies to every attribute a class manages with the swap pattern.
-    """
-
-    id = "REP016"
-    summary = "publish-event swap-and-set protocol violation (lost wakeup / deadlock)"
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        graph = program.graph
-        for cls_qual in sorted(graph.classes):
-            cls = graph.classes[cls_qual]
-            mod = graph.modules.get(cls.module)
-            if mod is None or not _in_library(mod.path):
-                continue
-            protocol_attrs = self._swap_managed_attrs(program, cls_qual)
-            if not protocol_attrs:
-                continue
-            for method_qual in sorted(set(cls.methods.values())):
-                fn = graph.functions.get(method_qual)
-                if fn is None or fn.name in CONSTRUCTION_EXEMPT:
-                    continue
-                yield from self._check_method(program, fn, protocol_attrs)
-
-    @staticmethod
-    def _is_event_ctor(node: ast.expr) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        chain = dotted_name(node.func)
-        return chain is not None and chain.split(".")[-1] == "Event"
-
-    def _swap_managed_attrs(self, program: Program, cls_qual: str) -> frozenset:
-        """Event attributes re-assigned outside construction: the swap
-        pattern's fingerprint."""
-        graph = program.graph
-        cls = graph.classes[cls_qual]
-        out: set = set()
-        for method_qual in sorted(set(cls.methods.values())):
-            fn = graph.functions.get(method_qual)
-            if fn is None or fn.name in CONSTRUCTION_EXEMPT:
-                continue
-            for node in own_nodes(fn.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if not self._is_event_ctor(node.value):
-                    continue
-                for tgt in node.targets:
-                    attr = _self_attr_of(tgt)
-                    if attr is not None:
-                        out.add(attr)
-        return frozenset(out)
-
-    def _check_method(
-        self, program: Program, fn: FunctionInfo, attrs: frozenset
-    ) -> Iterator[Finding]:
-        captures: Dict[str, Tuple[str, int]] = {}  # local name -> (attr, line)
-        swaps: List[Tuple[str, int, int]] = []  # (attr, lineno, col)
-        set_calls: Dict[str, List[int]] = {}  # captured name -> set() lines
-        nodes = _sorted_own_nodes(fn.node)
-        for node in nodes:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                tgt = node.targets[0]
-                value = node.value
-                if isinstance(tgt, ast.Name) and isinstance(value, ast.Attribute):
-                    attr = _self_attr_of(value)
-                    if attr in attrs:
-                        captures[tgt.id] = (str(attr), value.lineno)
-            if isinstance(node, ast.Assign):
-                for tgt in node.targets:
-                    attr = _self_attr_of(tgt)
-                    if attr in attrs:
-                        swaps.append((str(attr), tgt.lineno, tgt.col_offset))
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "set"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id in captures
-            ):
-                set_calls.setdefault(node.func.value.id, []).append(node.lineno)
-        for node in nodes:
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            attr = _self_attr_of(node.func.value)
-            if attr not in attrs:
-                continue
-            if node.func.attr == "set":
-                yield self.finding_at(
-                    fn.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"`{fn.qualname}` sets `self.{attr}` in place; the "
-                    f"swap-and-set protocol requires installing a fresh "
-                    f"event first (capture, swap, then set the old one), or "
-                    f"a reader can re-wait on a set event and miss every "
-                    f"later publish",
-                )
-            elif node.func.attr == "clear":
-                yield self.finding_at(
-                    fn.path,
-                    node.lineno,
-                    node.col_offset,
-                    f"`{fn.qualname}` clears `self.{attr}`; clear() races "
-                    f"waiters that were about to wake — swap in a fresh "
-                    f"event instead",
-                )
-        for attr, lineno, col in swaps:
-            capture = None
-            for name, (cattr, cline) in captures.items():
-                if cattr == attr and cline < lineno:
-                    if capture is None or cline > capture[1]:
-                        capture = (name, cline)
-            if capture is None:
-                yield self.finding_at(
-                    fn.path,
-                    lineno,
-                    col,
-                    f"`{fn.qualname}` replaces `self.{attr}` without "
-                    f"capturing the old event; readers parked on it never "
-                    f"wake",
-                )
-                continue
-            lines = set_calls.get(capture[0], [])
-            if not lines:
-                yield self.finding_at(
-                    fn.path,
-                    lineno,
-                    col,
-                    f"`{fn.qualname}` captures and replaces `self.{attr}` "
-                    f"but never sets the captured event; readers parked on "
-                    f"it never wake",
-                )
-            elif min(lines) < lineno:
-                yield self.finding_at(
-                    fn.path,
-                    min(lines),
-                    col,
-                    f"`{fn.qualname}` sets the old `self.{attr}` *before* "
-                    f"installing the fresh one; a reader waking between the "
-                    f"two re-waits on the already-set event and sleeps "
-                    f"through every later publish",
-                )
-        if fn.qualname in program.writer_reachable:
-            for node in nodes:
-                if not (
-                    isinstance(node, ast.Await)
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr == "wait"
-                ):
-                    continue
-                recv = node.value.func.value
-                attr = _self_attr_of(recv)
-                if attr is None and isinstance(recv, ast.Name):
-                    cap = captures.get(recv.id)
-                    attr = cap[0] if cap is not None else None
-                if attr in attrs:
-                    yield self.finding_at(
-                        fn.path,
-                        node.lineno,
-                        node.col_offset,
-                        f"`{fn.qualname}` runs on the writer task but awaits "
-                        f"`self.{attr}` — only the writer sets the publish "
-                        f"event, so this deadlocks the tenant",
-                    )
-
-
 class UnusedSuppressionRule(Rule):
     """REP011 — a suppression that suppresses nothing is a finding.
 
@@ -1502,10 +999,6 @@ PROGRAM_RULES: Sequence[ProgramRule] = (
     WorkerEscapeRule(),
     CrossCallSetOrderRule(),
     StrictFrontierRule(),
-    LoopBlockingRule(),
-    SingleWriterRule(),
-    QuotaRollbackRule(),
-    PublishEventRule(),
     ReductionOrderRule(),
 )
 

@@ -20,12 +20,15 @@ All timing flows through the injected ``clock`` callable (default
 :func:`time.perf_counter`), which is how the deterministic concurrency
 tests run the whole service on a virtual clock.
 
-The layer's concurrency contracts — nothing loop-blocking reachable
-from a coroutine, single-writer ownership of tenant state, publish-once
-snapshots, rollback-paired quota reserves, and the publish-event
-swap-and-set protocol — are enforced statically by the analyzer's
-REP012–REP016 rules on every run (DESIGN.md §9), not just sampled by
-the interleaving tests.
+The layer's concurrency contracts each have a runtime test in
+``tests/test_serve.py::TestConcurrencyContracts``: kernel work runs off
+the loop (``test_kernel_work_runs_off_the_loop``), only the writer task
+writes a tenant's session (``test_only_the_writer_task_writes_the_session``),
+a cancelled submit releases its light reserve
+(``test_cancelled_submit_releases_its_light_reserve``), and parked
+readers wake on every publish
+(``test_parked_readers_wake_on_every_publish``).  Published snapshots
+are frozen, so a write to one raises where it happens (DESIGN.md §9).
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class StreamService:
             time.perf_counter if clock is None else clock
         )
         self._tenants: Dict[str, Tenant] = {}
+        self._stats_folded = False
         self._executor: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(max_workers=1, thread_name_prefix="serve-apply")
             if offload
@@ -189,7 +193,8 @@ class StreamService:
 
         Tenants close concurrently; queued chunks are flushed first
         (drain-on-close), and a crashed tenant's record is preserved,
-        never raised from here.
+        never raised from here.  Idempotent: the stats fold into the
+        report once, however often the service is closed.
         """
         if self._tenants:
             await asyncio.gather(
@@ -198,7 +203,8 @@ class StreamService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
-        if self.report is not None:
+        if self.report is not None and not self._stats_folded:
+            self._stats_folded = True
             for stats in self.stats():
                 self.report.record_service(stats)
 

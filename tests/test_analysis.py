@@ -165,6 +165,32 @@ class TestRep003:
         )
         assert lint_source(src, LIB) == []
 
+    def test_from_import_of_an_entropy_source_fires(self):
+        src = "from numpy.random import default_rng\nrng = default_rng()\n"
+        findings = lint_source(src, LIB)
+        assert rules_of(findings) == ["REP003"]
+        assert findings[0].line == 1
+        assert "numpy.random.default_rng" in findings[0].message
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "from numpy import random as npr\nx = npr.rand(3)\n",
+            "import numpy.random as nr\nx = nr.rand(3)\n",
+        ],
+        ids=["from-numpy-import-random", "import-numpy-random-as"],
+    )
+    def test_module_aliases_fire(self, src):
+        assert rules_of(lint_source(src, LIB)) == ["REP003"]
+
+    def test_from_import_of_types_clean(self):
+        src = "from numpy.random import Generator, SeedSequence\n"
+        assert lint_source(src, LIB) == []
+
+    def test_from_import_of_default_rng_allowed_in_tests(self):
+        src = "from numpy.random import default_rng\nrng = default_rng(3)\n"
+        assert lint_source(src, OUTSIDE) == []
+
 
 # ----------------------------------------------------------------------
 # REP004 — no wall clock in core/trace

@@ -244,97 +244,6 @@ class TestFixpoint:
 
 
 # ----------------------------------------------------------------------
-# Async topology: coroutines, awaits, task spawns, offload seams
-# ----------------------------------------------------------------------
-
-ASYNC_TOPOLOGY = _src(
-    """
-    import asyncio
-    import time
-
-    def heavy(x):
-        time.sleep(x)
-        return x
-
-    def wrapper(x):
-        return heavy(x)
-
-    class Server:
-        def start(self):
-            self._task = asyncio.get_running_loop().create_task(
-                self._writer()
-            )
-
-        async def _writer(self):
-            while True:
-                await asyncio.sleep(0)
-                self._state = 1
-
-        async def offloaded(self):
-            loop = asyncio.get_running_loop()
-            return await loop.run_in_executor(None, heavy, 1)
-
-        async def inline(self):
-            return wrapper(1)
-    """
-)
-
-
-class TestAsyncTopology:
-    def _program(self):
-        return build_program([(LIB, ASYNC_TOPOLOGY)])
-
-    def test_async_def_detection(self):
-        graph = self._program().graph
-        assert graph.functions["repro.eval.driver.Server._writer"].is_async
-        assert not graph.functions["repro.eval.driver.heavy"].is_async
-
-    def test_await_points_recorded(self):
-        graph = self._program().graph
-        writer = graph.functions["repro.eval.driver.Server._writer"]
-        assert any("sleep" in site.detail for site in writer.awaits)
-
-    def test_writer_task_seeded_from_create_task(self):
-        program = self._program()
-        assert program.writer_roots == {"repro.eval.driver.Server._writer"}
-        assert "repro.eval.driver.Server._writer" in program.writer_reachable
-
-    def test_spawn_is_not_a_call_edge_but_is_tracked(self):
-        graph = self._program().graph
-        spawns = graph.task_spawns["repro.eval.driver.Server.start"]
-        assert spawns == {"repro.eval.driver.Server._writer"}
-
-    def test_offload_reference_recognized(self):
-        graph = self._program().graph
-        offloaded = graph.functions["repro.eval.driver.Server.offloaded"]
-        refs = {(r.target, r.offload) for r in offloaded.refs}
-        assert ("repro.eval.driver.heavy", True) in refs
-
-    def test_blocking_taint_propagates_through_sync_calls(self):
-        program = self._program()
-        assert program.effects["repro.eval.driver.heavy"].may_block
-        wrapper = program.effects["repro.eval.driver.wrapper"]
-        assert wrapper.may_block
-        assert wrapper.block_chain[0] == "repro.eval.driver.heavy"
-
-    def test_offload_does_not_taint_the_coroutine(self):
-        program = self._program()
-        summary = program.effects["repro.eval.driver.Server.offloaded"]
-        assert not summary.loop_block_anchors
-
-    def test_inline_blocking_call_is_anchored(self):
-        program = self._program()
-        summary = program.effects["repro.eval.driver.Server.inline"]
-        assert len(summary.loop_block_anchors) == 1
-        assert "wrapper" in summary.loop_block_anchors[0].detail
-
-    def test_reachable_with_refs_follows_references(self):
-        graph = self._program().graph
-        closure = graph.reachable_with_refs(["repro.eval.driver.Server.offloaded"])
-        assert "repro.eval.driver.heavy" in closure
-
-
-# ----------------------------------------------------------------------
 # REP008 — worker escapes and shared fixtures
 # ----------------------------------------------------------------------
 
@@ -745,9 +654,5 @@ class TestBaseline:
             "REP008",
             "REP009",
             "REP010",
-            "REP012",
-            "REP013",
-            "REP015",
-            "REP016",
             "REP018",
         ]

@@ -10,14 +10,22 @@ occasionally lost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
-from .._util import RngLike, as_rng, check_in_range, check_nonnegative
+from .._util import RngLike, as_rng, check_in_range, check_nonnegative, check_positive
 
-__all__ = ["ReportingPolicy", "sample_report_times"]
+__all__ = [
+    "ReportingPolicy",
+    "draw_report_grid",
+    "jitter_report_times",
+    "sample_report_times",
+]
 
 #: Empirical update-interval mixture (seconds → probability), chosen so
 #: the generated traces land near the paper's *measured* mean update
@@ -60,8 +68,7 @@ class ReportingPolicy:
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"interval mixture probabilities sum to {total}, expected 1")
         for iv, p in self.interval_mixture:
-            if iv <= 0:
-                raise ValueError(f"interval {iv} must be positive")
+            check_positive("interval", iv)
             check_in_range("mixture probability", p, 0.0, 1.0)
         check_in_range("packet_loss_prob", self.packet_loss_prob, 0.0, 1.0)
         check_nonnegative("jitter_sd_s", self.jitter_sd_s)
@@ -71,12 +78,24 @@ class ReportingPolicy:
         """Mean of the base interval mixture (before loss)."""
         return float(sum(iv * p for iv, p in self.interval_mixture))
 
+    @cached_property
+    def _interval_cdf(self) -> Tuple[List[float], List[float]]:
+        """The mixture's intervals and the CDF ``Generator.choice`` builds
+        from its probabilities."""
+        cdf = np.array([p for _, p in self.interval_mixture], dtype=np.float64).cumsum()
+        cdf /= cdf[-1]
+        return [float(iv) for iv, _ in self.interval_mixture], cdf.tolist()
+
     def sample_interval(self, rng: RngLike = None) -> float:
-        """Draw one taxi's fixed update interval."""
+        """Draw one taxi's fixed update interval.
+
+        Bit for bit ``rng.choice(intervals, p=probs)``: one uniform
+        searched in the mixture's CDF, without ``choice`` validating
+        ``p`` again on every call.
+        """
         rng = as_rng(rng)
-        intervals = np.array([iv for iv, _ in self.interval_mixture])
-        probs = np.array([p for _, p in self.interval_mixture])
-        return float(rng.choice(intervals, p=probs))
+        intervals, cdf = self._interval_cdf
+        return intervals[bisect_right(cdf, rng.random())]
 
 
 def sample_report_times(
@@ -93,15 +112,47 @@ def sample_report_times(
     jittered by network delay.  Returns a sorted array (possibly empty).
     """
     rng = as_rng(rng)
+    ticks, jitter = draw_report_grid(policy, interval_s, t_start, t_end, rng)
+    if jitter is None:
+        return ticks
+    return np.sort(jitter_report_times(ticks, jitter, t_start, t_end))
+
+
+def draw_report_grid(
+    policy: ReportingPolicy,
+    interval_s: float,
+    t_start: float,
+    t_end: float,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The random draws of :func:`sample_report_times`.
+
+    Returns the grid ticks that survive packet loss, in ascending order,
+    and their network-delay jitter, or ``None`` when the policy has no
+    jitter or no tick survives.  Unjittered ticks are final report
+    times as they stand.
+    """
     if t_end < t_start:
-        return np.empty(0)
+        return np.empty(0), None
     phase = rng.uniform(0.0, interval_s)
     ticks = np.arange(t_start + phase, t_end + 1e-9, interval_s)
     if ticks.size == 0:
-        return ticks
-    kept = rng.uniform(size=ticks.size) >= policy.packet_loss_prob
-    ticks = ticks[kept]
+        return ticks, None
+    ticks = ticks[rng.uniform(size=ticks.size) >= policy.packet_loss_prob]
     if policy.jitter_sd_s > 0 and ticks.size:
-        ticks = ticks + rng.normal(0.0, policy.jitter_sd_s, size=ticks.size)
-        ticks = np.sort(np.clip(ticks, t_start, t_end))
-    return ticks
+        return ticks, rng.normal(0.0, policy.jitter_sd_s, size=ticks.size)
+    return ticks, None
+
+
+def jitter_report_times(
+    ticks: np.ndarray,
+    jitter: np.ndarray,
+    t_start: npt.ArrayLike,
+    t_end: npt.ArrayLike,
+) -> np.ndarray:
+    """Jittered ticks clipped into the observed span, before sorting.
+
+    Elementwise, so many taxis' ticks can be jittered at once with
+    per-tick ``t_start``/``t_end`` arrays.
+    """
+    return np.clip(ticks + jitter, t_start, t_end)

@@ -9,14 +9,25 @@ position, and occasional urban-canyon outliers with much larger spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .._util import RngLike, as_rng, check_in_range, check_nonnegative
 
-__all__ = ["GPSErrorModel"]
+__all__ = ["GPSDraws", "GPSErrorModel"]
+
+
+class GPSDraws(NamedTuple):
+    """Per-fix draws of :class:`GPSErrorModel`, in draw order: the two
+    uniforms that decide outlier and availability, then standard normal
+    noise per axis."""
+
+    outlier: np.ndarray
+    available: np.ndarray
+    x_noise: np.ndarray
+    y_noise: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,18 +68,29 @@ class GPSErrorModel:
         get outlier-scale noise (a dying fix wanders before dropping
         out), which is why preprocessing must respect the flag.
         """
-        rng = as_rng(rng)
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         n = x.shape[0] if x.ndim else 1
         x = np.atleast_1d(x).astype(float)
         y = np.atleast_1d(y).astype(float)
+        return self.perturb(x, y, self.draw(n, rng))
 
-        is_outlier = rng.uniform(size=n) < self.outlier_prob
-        gps_ok = rng.uniform(size=n) >= self.unavailable_prob
-        sigma = np.where(is_outlier | ~gps_ok, self.outlier_sigma_m, self.sigma_m)
-        return (
-            x + rng.normal(0.0, 1.0, size=n) * sigma,
-            y + rng.normal(0.0, 1.0, size=n) * sigma,
-            gps_ok,
+    def draw(self, n: int, rng: RngLike = None) -> GPSDraws:
+        """The random draws :meth:`apply` makes for ``n`` fixes."""
+        rng = as_rng(rng)
+        return GPSDraws(
+            rng.uniform(size=n),
+            rng.uniform(size=n),
+            rng.normal(0.0, 1.0, size=n),
+            rng.normal(0.0, 1.0, size=n),
         )
+
+    def perturb(
+        self, x: np.ndarray, y: np.ndarray, draws: GPSDraws
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`apply` with its draws given; elementwise, so the draws
+        of many calls to :meth:`draw`, concatenated, perturb at once."""
+        is_outlier = draws.outlier < self.outlier_prob
+        gps_ok = draws.available >= self.unavailable_prob
+        sigma = np.where(is_outlier | ~gps_ok, self.outlier_sigma_m, self.sigma_m)
+        return x + draws.x_noise * sigma, y + draws.y_noise * sigma, gps_ok

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import os
+import threading
 
 import pytest
 
@@ -112,15 +113,40 @@ class TestStreamCommand:
                 assert "invalid choice" in capsys.readouterr().err
 
 
+def _main_within(args, limit_s=60.0):
+    """``main(args)`` on a daemon thread, failing if it runs past ``limit_s``.
+
+    A lost wakeup in the serve layer parks ``serve-bench`` forever; the
+    bound fails the test within a minute instead of hanging the run until
+    the suite's watchdog.
+    """
+    outcome = {}
+
+    def run():
+        try:
+            outcome["rc"] = main(args)
+        except BaseException as exc:  # re-raised on the test's thread
+            outcome["exc"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(limit_s)
+    if worker.is_alive():
+        pytest.fail(f"{args[0]} did not return within {limit_s:.0f} s")
+    if "exc" in outcome:
+        raise outcome["exc"]
+    return outcome["rc"]
+
+
 class TestServeBenchCommand:
     def test_serve_bench_meets_slo(self, capsys, tmp_path):
         import json
 
         json_path = str(tmp_path / "serve.json")
         report_path = str(tmp_path / "serve_report.json")
-        rc = main(["serve-bench", "--tenants", "2", "--chunks", "3",
-                   "--intersections", "1", "--evaluates-per-chunk", "2",
-                   "--json", json_path, "--report", report_path])
+        rc = _main_within(["serve-bench", "--tenants", "2", "--chunks", "3",
+                           "--intersections", "1", "--evaluates-per-chunk", "2",
+                           "--json", json_path, "--report", report_path])
         assert rc == 0
         out = capsys.readouterr().out
         assert "SLOs met" in out
@@ -133,9 +159,9 @@ class TestServeBenchCommand:
         assert len(report["services"]) == 2
 
     def test_serve_bench_flags_slo_violation(self, capsys):
-        rc = main(["serve-bench", "--tenants", "1", "--chunks", "2",
-                   "--intersections", "1", "--evaluates-per-chunk", "1",
-                   "--p99-slo-ms", "0.000001"])
+        rc = _main_within(["serve-bench", "--tenants", "1", "--chunks", "2",
+                           "--intersections", "1", "--evaluates-per-chunk", "1",
+                           "--p99-slo-ms", "0.000001"])
         assert rc == 1
         assert "SLO FAILED" in capsys.readouterr().out
 

@@ -31,6 +31,11 @@ class TestReportingPolicy:
         with pytest.raises(ValueError):
             ReportingPolicy(interval_mixture=((0.0, 1.0),))
 
+    @pytest.mark.parametrize("iv", [float("nan"), float("inf"), -15.0])
+    def test_rejects_non_finite_interval(self, iv):
+        with pytest.raises(ValueError, match="interval"):
+            ReportingPolicy(interval_mixture=((iv, 0.5), (30.0, 0.5)))
+
     def test_rejects_bad_loss(self):
         with pytest.raises(ValueError):
             ReportingPolicy(packet_loss_prob=1.5)

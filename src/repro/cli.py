@@ -36,6 +36,7 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -43,6 +44,19 @@ import numpy as np
 
 __all__ = ["main", "build_parser"]
 
+
+def _output_path(path: str) -> str:
+    """An output path (or prefix) in an existing, writable directory.
+
+    Checked while parsing, so a command with nowhere to write its output
+    exits with a usage error before it does any work.
+    """
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} does not exist")
+    if not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(f"directory {directory!r} is not writable")
+    return path
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
@@ -59,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--scenario", choices=("small", "shenzhen"), default="small")
     sim.add_argument("--hours", type=float, default=1.5, help="simulated duration")
     sim.add_argument("--seed", type=int, default=7)
-    sim.add_argument("--out", required=True,
+    sim.add_argument("--out", required=True, type=_output_path,
                      help="output prefix; writes <out>.trace.txt and <out>.net.json")
 
     st = sub.add_parser("stats", help="Fig. 2 statistics of a trace file")
@@ -82,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     ident.add_argument("--workers", type=int, default=None,
                        help="worker processes for the shard backend "
                             "(default: available CPUs, capped at 8)")
-    ident.add_argument("--report", metavar="PATH", default=None,
+    ident.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                        help="write the RunReport JSON (stage wall times, "
                             "counters, failure taxonomy) to PATH")
 
@@ -95,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="execution backend (see `repro identify`)")
     ev.add_argument("--workers", type=int, default=None,
                     help="worker processes for the shard backend")
-    ev.add_argument("--report", metavar="PATH", default=None,
+    ev.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                     help="write the RunReport JSON aggregated over all "
                          "time spots to PATH")
 
@@ -122,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "zero-copy sharded process fan-out")
     strm.add_argument("--workers", type=int, default=None,
                       help="worker processes for the shard backend")
-    strm.add_argument("--report", metavar="PATH", default=None,
+    strm.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                       help="write the RunReport JSON (incl. per-chunk "
                            "ingest stats) to PATH")
 
@@ -145,9 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="advisory-read p50 SLO, milliseconds")
     srv.add_argument("--p99-slo-ms", type=float, default=50.0,
                      help="advisory-read p99 SLO, milliseconds")
-    srv.add_argument("--json", metavar="PATH", default=None,
+    srv.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                      help="write the measured numbers as JSON to PATH")
-    srv.add_argument("--report", metavar="PATH", default=None,
+    srv.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                      help="write the RunReport JSON (one ServiceStats "
                           "per tenant) to PATH")
 
@@ -168,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--backends", nargs="+", default=None,
                     choices=BACKENDS,
                     help="identification backends to cross-check bit-for-bit")
-    fr.add_argument("--json", metavar="PATH", default=None,
+    fr.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                     help="write the frontier curve as JSON to PATH")
 
     nav = sub.add_parser("navigate", help="Fig. 16 navigation comparison")

@@ -142,11 +142,11 @@ class PreProgrammedController(LightController):
         starts = [p.start_second_of_day for p in self.plans]
         if len(set(starts)) != len(starts):
             raise ValueError("plan start times must be distinct")
-        self._starts = np.asarray(starts, dtype=float)
+        self._starts = [float(s) for s in starts]
 
     def schedule_at(self, t: float) -> LightSchedule:
         tod = float(t) % SECONDS_PER_DAY
-        idx = int(np.searchsorted(self._starts, tod, side="right")) - 1
+        idx = bisect_right(self._starts, tod) - 1
         return self.plans[idx].schedule  # idx == -1 wraps to the last plan
 
     def plan_switch_times(self, t0: float, t1: float) -> List[float]:
@@ -226,8 +226,8 @@ class DemandSignal:
 
 
 #: Demand source: maps a half-open window ``[t0, t1)`` to the
-#: :class:`DemandSignal` observed over it.  Called only for windows
-#: strictly before the cycle being decided, so feedback stays causal.
+#: :class:`DemandSignal` observed over it.  Called only for windows that
+#: end where the cycle being decided starts.
 DemandFn = Callable[[float, float], DemandSignal]
 
 
@@ -250,9 +250,16 @@ class AdaptiveController(LightController):
     ``alpha=1`` is fully demand-driven.
 
     The decision for cycle ``k`` uses demand observed over the previous
-    cycle's window ``[s_k - c_{k-1}, s_k)`` — strictly in the past, so
-    queries at time ``t`` never need demand recorded at or after ``t``
-    (the causality contract the live sim binding relies on).
+    cycle's window ``[s_k - c_{k-1}, s_k)``, and is made at the first
+    query at or after ``s_k``.  The window lies in the past, but what a
+    demand source has seen of it can still grow after ``s_k``: the
+    queueing sim's :class:`~repro.sim.queueing.ApproachDemandRecorder`
+    logs an arrival only when the vehicle is admitted to the segment,
+    stamped with its earlier arrival time, and admission can be blocked
+    for a few seconds.  So with live feedback the realized timeline
+    depends on when the controller is first queried after each cycle
+    starts; the sim queries it on every step with a vehicle on the
+    segment, and that query pattern is part of its output.
 
     Realization is lazy, deterministic, and append-only: any query at
     time ``t`` extends the timeline through ``t`` and memoizes it, so

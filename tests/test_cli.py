@@ -177,3 +177,41 @@ class TestMonitorCommand:
     def test_monitor_bad_light(self, city_prefix, capsys):
         assert main(["monitor", "--city", city_prefix, "--light", "zzz"]) == 2
         assert main(["monitor", "--city", city_prefix, "--light", "99:NS"]) == 2
+
+
+class TestOutputPaths:
+    """An output path in a missing directory is a usage error raised
+    while parsing, before the command does any work."""
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--out"],
+        ["identify", "--city", "nowhere", "--at", "0", "--report"],
+        ["evaluate", "--city", "nowhere", "--times", "0", "--report"],
+        ["stream", "--city", "nowhere", "--report"],
+        ["serve-bench", "--tenants", "1", "--chunks", "2", "--intersections", "1",
+         "--evaluates-per-chunk", "1", "--report"],
+        ["serve-bench", "--json"],
+        ["frontier", "--json"],
+    ])
+    def test_missing_directory_exits_2(self, args, tmp_path, capsys, monkeypatch):
+        import repro.cli
+
+        def no_work(_args):
+            raise AssertionError("the command ran")
+
+        command, flag = args[0], args[-1]
+        missing = tmp_path / "missing"
+        monkeypatch.setattr(repro.cli, f"_cmd_{command.replace('-', '_')}", no_work)
+        with pytest.raises(SystemExit) as exc:
+            main([*args, str(missing / "out.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err == (f"repro {command}: error: argument {flag}: "
+                       f"directory {str(missing)!r} does not exist")
+
+    def test_existing_directory_and_bare_name_parse(self, tmp_path):
+        parser = build_parser()
+        a = parser.parse_args(["simulate", "--out", str(tmp_path / "city")])
+        assert a.out == str(tmp_path / "city")
+        a = parser.parse_args(["frontier", "--json", "curve.json"])  # the working directory
+        assert a.json == "curve.json"

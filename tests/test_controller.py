@@ -1,6 +1,10 @@
 """Unit tests for repro.lights.controller."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.lights.controller import (
     SECONDS_PER_DAY,
@@ -84,6 +88,30 @@ class TestPreProgrammed:
     def test_rejects_out_of_day_start(self):
         with pytest.raises(ValueError):
             PlanSwitch(SECONDS_PER_DAY + 1, PEAK)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        starts=st.lists(st.floats(0.0, SECONDS_PER_DAY), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    def test_schedule_at_equals_searchsorted(self, starts, data):
+        """The plan lookup picks the index ``np.searchsorted(...,
+        side="right") - 1`` would, for every float: day wraps, switch
+        instants and one ulp either side, NaN and infinities."""
+        c = PreProgrammedController(
+            [PlanSwitch(s, LightSchedule(60.0 + i, 30.0, 0.0)) for i, s in enumerate(starts)]
+        )
+        table = np.array(sorted(starts))
+        anchors = [s + k * SECONDS_PER_DAY for s in (*starts, 0.0) for k in (-1, 0, 1, 3)]
+        near_anchor = st.sampled_from(anchors).flatmap(
+            lambda a: st.sampled_from(
+                [math.nextafter(a, -math.inf), a, math.nextafter(a, math.inf)]
+            )
+        )
+        specials = st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+        for t in data.draw(st.lists(st.one_of(near_anchor, specials, st.floats()), max_size=40)):
+            want = int(np.searchsorted(table, float(t) % SECONDS_PER_DAY, side="right")) - 1
+            assert c.schedule_at(t) is c.plans[want].schedule, t
 
 
 class TestManual:

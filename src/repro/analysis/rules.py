@@ -75,6 +75,7 @@ PARITY_FILES = (
     "repro/core/cycle.py",
     "repro/core/superposition.py",
     "repro/core/changepoint.py",
+    "repro/core/interpolation.py",
 )
 
 

@@ -1,5 +1,10 @@
 """Unit + property tests for §V.A regularization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -98,3 +103,211 @@ class TestRegularize:
         v = rng.uniform(-10, 60, 12)
         _, out = regularize(t, v, 0.0, 300.0)
         assert np.isfinite(out).all()
+
+
+# -- scipy oracle ------------------------------------------------------------
+#
+# ``regularize`` reproduces scipy's interpolators in numpy.  These cases
+# pin every kind to scipy byte for byte; they skip where scipy is not
+# installed (it is a test-only dependency).
+
+#: Epoch-scale window start: the grids of a real feed.
+_EPOCH = 1.7e9 + 0.375
+
+
+def _scipy_grid(t, v, t0, t1, dt, kind):
+    """``regularize`` as scipy computes it: the interpolator plus edge holds."""
+    interpolate = pytest.importorskip("scipy.interpolate")
+    bt, bv = bucket_mean(t, v, t0, t1, dt)
+    grid = t0 + np.arange(int(np.ceil((t1 - t0) / dt))) * dt
+    if kind == "spline":
+        out = interpolate.CubicSpline(bt, bv, extrapolate=False)(grid)
+    else:
+        out = interpolate.interp1d(
+            bt, bv, kind=kind, bounds_error=False, fill_value=np.nan
+        )(grid)
+    out = np.where(grid < bt[0], bv[0], out)
+    out = np.where(grid > bt[-1], bv[-1], out)
+    return grid, out
+
+
+@st.composite
+def _windows(draw, nan=False):
+    """A window of 4-500 occupied buckets with gaps of 1-300 buckets.
+
+    ``ends`` puts short-short-long gaps at both ends, the pattern that
+    makes ``dgtsv`` interchange rows (on its last row too when the final
+    gap is long); ``bursty`` mixes single-bucket gaps with long ones.
+    """
+    n = draw(st.integers(4, 500))
+    dt = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    t0 = draw(st.sampled_from([0.0, _EPOCH]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pattern = draw(st.sampled_from(["uniform", "bursty", "ends"]))
+    if pattern == "uniform":
+        gaps = rng.integers(1, 301, n - 1)
+    elif pattern == "bursty":
+        gaps = rng.choice([1, 1, 2, 3, 300], n - 1)
+    else:
+        n = max(n, 8)
+        gaps = rng.integers(1, 6, n - 1)
+        long_gap = draw(st.integers(20, 300))
+        gaps[:3] = [1, 1, long_gap]
+        gaps[-4:] = [long_gap, 1, 1, draw(st.integers(1, 300))]
+    lead = draw(st.integers(0, 40))
+    buckets = lead + np.concatenate([[0], np.cumsum(gaps)])
+    t1 = t0 + (buckets[-1] + draw(st.integers(1, 40))) * dt
+    # one or two reports per bucket, so bucket means are exercised too
+    per = rng.integers(1, 3, n)
+    k = np.repeat(buckets, per)
+    t = t0 + (k + rng.uniform(0.0, 0.9, k.size)) * dt
+    speeds = draw(st.sampled_from(["random", "constant", "zero", "large"]))
+    if speeds == "random":
+        v = rng.uniform(-5.0, 90.0, k.size)
+    elif speeds == "constant":
+        v = np.full(k.size, draw(st.floats(-50.0, 120.0)))
+    elif speeds == "zero":
+        v = np.zeros(k.size)
+    else:
+        v = rng.uniform(-1.0, 1.0, k.size) * 10.0 ** draw(st.integers(3, 100))
+    if nan:
+        # a NaN bucket anywhere, including the first and the last
+        at = draw(st.sampled_from(["first", "last", "inner"]))
+        j = {"first": 0, "last": k.size - 1}.get(at, int(rng.integers(0, k.size)))
+        v[j] = np.nan
+    return t, v, t0, t1, dt
+
+
+_ORACLE = settings(max_examples=150, deadline=None)
+
+
+def _assert_same_bytes(kind, window):
+    t, v, t0, t1, dt = window
+    grid, out = regularize(t, v, t0, t1, dt=dt, kind=kind)
+    ref_grid, ref = _scipy_grid(t, v, t0, t1, dt, kind)
+    assert out.dtype == np.float64
+    assert grid.tobytes() == ref_grid.tobytes()
+    assert out.tobytes() == ref.tobytes(), (
+        f"{kind}: {np.flatnonzero(out.view(np.int64) != ref.view(np.int64)).size} "
+        f"of {out.size} grid points differ from scipy"
+    )
+
+
+class TestScipyOracle:
+    @_ORACLE
+    @given(window=_windows())
+    def test_spline_equals_cubic_spline(self, window):
+        _assert_same_bytes("spline", window)
+
+    @_ORACLE
+    @given(window=_windows())
+    def test_linear_equals_interp1d(self, window):
+        _assert_same_bytes("linear", window)
+
+    @_ORACLE
+    @given(window=_windows())
+    def test_previous_equals_interp1d(self, window):
+        _assert_same_bytes("previous", window)
+
+    @_ORACLE
+    @given(window=_windows(nan=True), kind=st.sampled_from(["linear", "previous"]))
+    def test_nan_speeds_pass_through_as_interp1d(self, window, kind):
+        """NaN reaches the same grid points as in scipy's grid, which
+        keeps no interior NaN fix-up."""
+        _assert_same_bytes(kind, window)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_spline_rejects_non_finite_as_cubic_spline(self, bad):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        t = np.arange(0.0, 100.0, 10.0)
+        v = np.cos(t)
+        v[4] = bad
+        with pytest.raises(ValueError) as ours:
+            regularize(t, v, 0.0, 100.0)
+        with pytest.raises(ValueError) as theirs:
+            interpolate.CubicSpline(t, v)
+        assert str(ours.value) == str(theirs.value)
+
+    @pytest.mark.parametrize(
+        "gaps, rows",
+        [([1, 1, 200, 3, 2, 200, 1, 1], [1, 4]), ([3, 50, 300, 1, 1, 50], [1, 4, 5])],
+    )
+    def test_interchange_rows_equal_cubic_spline(self, gaps, rows, monkeypatch):
+        """Short-short-long gaps make dgtsv interchange rows near either
+        end, and on its last row when a long gap follows."""
+        from repro.core import interpolation
+
+        seen = []
+        solve = interpolation._gtsv
+
+        def spy(dl, d, du, b):
+            last = dl[-1]
+            out = solve(dl, d, du, b)
+            n = len(d)
+            # an interchange leaves a fill-in in dl, and on the last row
+            # moves the sub-diagonal entry onto the diagonal
+            seen.extend(i for i in range(n - 2) if dl[i] != 0.0)
+            seen.extend([n - 2] if d[n - 2] == last else [])
+            return out
+
+        monkeypatch.setattr(interpolation, "_gtsv", spy)
+        x = np.concatenate([[0.0], np.cumsum(gaps)])
+        _assert_same_bytes("spline", (x + 0.25, 30.0 * np.sin(x), 0.0, x[-1] + 5.0, 1.0))
+        assert seen == rows
+
+
+class TestSplineInputs:
+    def test_spline_needs_four_samples(self):
+        t = np.arange(0.0, 100.0, 10.0)
+        with pytest.raises(ValueError, match="min_samples >= 4"):
+            regularize(t, np.cos(t), 0.0, 100.0, min_samples=3)
+
+    @pytest.mark.parametrize("kind", ["linear", "previous"])
+    def test_other_kinds_accept_fewer(self, kind):
+        t = np.array([10.0, 50.0])
+        _, out = regularize(t, np.array([1.0, 3.0]), 0.0, 100.0, kind=kind, min_samples=2)
+        assert out[0] == 1.0 and out[-1] == 3.0
+
+    def test_singular_system_raises(self):
+        from repro.core.interpolation import _gtsv
+
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            _gtsv([0.0, 0.0], [0.0, 1.0, 1.0], [1.0, 1.0], [1.0, 1.0, 1.0])
+
+
+# -- the import boundary -----------------------------------------------------
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = str(Path(__file__).resolve().parents[1])
+
+
+def _run_python(code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, _ROOT, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=_ROOT,
+        capture_output=True, text=True, check=True,
+    ).stdout.strip()
+
+
+class TestRuntimeWithoutScipy:
+    def test_pipeline_imports_leave_scipy_unloaded(self):
+        """scipy is a test-only dependency: no runtime surface loads it."""
+        code = (
+            "import sys, repro.core.pipeline, repro.stream, repro.serve, repro.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert _run_python(code) == "[]"
+
+    def test_golden_payload_with_scipy_blocked(self):
+        """With scipy unimportable, the sparse golden still comes out exact."""
+        code = (
+            "import json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from tests.golden.scenarios import (\n"
+            "    SPARSE_GOLDEN_SCENARIOS, compute_payload, load_fixture)\n"
+            "spec = SPARSE_GOLDEN_SCENARIOS[0]\n"
+            "actual = json.loads(json.dumps(compute_payload(spec)))\n"
+            "print(actual == load_fixture(spec))\n"
+        )
+        assert _run_python(code) == "True"

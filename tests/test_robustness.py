@@ -127,3 +127,48 @@ class TestClockAnomalies:
         ests, _ = identify_many(parts, 5400.0, backend="serial")
         good = sum(1 for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0)
         assert good >= len(ests) // 2
+
+
+class TestNonFiniteSpeed:
+    """One NaN speed fails its own light at the cycle stage, with the
+    spline's message, and leaves every other light's estimate alone.
+
+    This pins today's behaviour; accounting for the record at ingest
+    (a typed reject and a counter) is meant to replace it.
+    """
+
+    @staticmethod
+    def _fields(est):
+        return (
+            est.cycle_s, est.red_s, est.green_s, est.schedule.offset_s,
+            est.change.red_to_green_s, est.change.green_to_red_s, est.cycle.quality,
+        )
+
+    @pytest.mark.parametrize("backend", ["batched", "serial"])
+    def test_one_nan_speed_fails_only_its_light(self, backend):
+        from repro.scenario import synthetic_lights, synthetic_partitions
+
+        at = 5400.0
+        parts = synthetic_partitions(synthetic_lights(4, seed=3), 0.0, at, seed=3)
+        clean, clean_fails = identify_many(parts, at, backend=backend)
+        key = sorted(clean)[0]
+        p = parts[key]
+        poisoned = LightPartition(
+            p.intersection_id, p.approach,
+            p.trace.subset(np.arange(len(p.trace))), p.segment_id.copy(),
+            p.dist_to_stopline_m.copy(),
+        )
+        # the first sample of the last ten minutes: inside every window
+        near = poisoned.dist_to_stopline_m <= PipelineConfig().max_sample_dist_m
+        j = int(np.flatnonzero(near & (poisoned.trace.t >= at - 600.0))[0])
+        poisoned.trace.speed_kmh[j] = np.nan
+        ests, fails = identify_many({**parts, key: poisoned}, at, backend=backend)
+
+        fail = fails[key]
+        assert (fail.stage, fail.error_type, fail.message) == (
+            "cycle", "ValueError", "`y` must contain only finite values."
+        )
+        assert set(fails) == set(clean_fails) | {key}
+        assert set(ests) == set(clean) - {key}
+        for k, est in ests.items():
+            assert self._fields(est) == self._fields(clean[k]), k

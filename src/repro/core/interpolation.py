@@ -201,7 +201,8 @@ def regularize(
     ValueError
         For an unknown ``kind``, a spline with ``min_samples < 4``, or a
         spline through a non-finite bucket mean.  ``"linear"`` and
-        ``"previous"`` pass NaN through to the grid points it reaches.
+        ``"previous"`` raise none: as with ``interp1d``, a NaN bucket
+        mean turns the grid points that depend on it into NaN.
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")

@@ -15,10 +15,10 @@ so no clamping is applied.
 The spline is scipy's not-a-knot ``CubicSpline(x, y,
 extrapolate=False)`` redone in numpy, operation for operation, so the
 pipeline needs no scipy at run time.  The tridiagonal system is
-assembled as ``CubicSpline.__init__`` does and solved by a line-for-line
-transcription of LAPACK ``dgtsv`` (the routine ``solve_banded((1, 1),
-…)`` calls); the Hermite coefficients follow ``CubicHermiteSpline`` and
-the evaluation ``PPoly``.  Every grid is byte-identical to scipy's, and
+assembled as ``CubicSpline.__init__`` does and solved by a
+statement-for-statement transcription of LAPACK ``dgtsv`` (the routine
+``solve_banded((1, 1), …)`` calls); the Hermite coefficients follow
+``CubicHermiteSpline`` and the evaluation ``PPoly``.  Every grid is byte-identical to scipy's, and
 ``tests/test_interpolation.py`` checks that against scipy itself.
 """
 
@@ -74,10 +74,11 @@ def _gtsv(dl: List[float], d: List[float], du: List[float], b: List[float]) -> L
     super-diagonals ``dl`` (n-1), ``d`` (n) and ``du`` (n-1); all four
     lists are overwritten and ``b`` is returned as the solution.  Python
     floats are IEEE doubles, so the same operations in the same order
-    give LAPACK's solution bit for bit.
+    give LAPACK's solution bit for bit.  dgtsv's separate step for the
+    last row is the loop's last pass, which has no fill-in to make.
     """
     n = len(d)
-    for i in range(n - 2):
+    for i in range(n - 1):
         if abs(d[i]) >= abs(dl[i]):
             # no row interchange required
             if d[i] == 0.0:
@@ -87,33 +88,19 @@ def _gtsv(dl: List[float], d: List[float], du: List[float], b: List[float]) -> L
             b[i + 1] = b[i + 1] - fact * b[i]
             dl[i] = 0.0
         else:
-            # interchange rows i and i+1
+            # interchange rows i and i+1; dl[i] then holds the fill-in
+            # of U's second superdiagonal
             fact = d[i] / dl[i]
             d[i] = dl[i]
             temp = d[i + 1]
             d[i + 1] = du[i] - fact * temp
-            dl[i] = du[i + 1]
-            du[i + 1] = -fact * dl[i]
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
             du[i] = temp
             temp = b[i]
             b[i] = b[i + 1]
             b[i + 1] = temp - fact * b[i + 1]
-    i = n - 2
-    if abs(d[i]) >= abs(dl[i]):
-        if d[i] == 0.0:
-            raise np.linalg.LinAlgError("singular matrix")
-        fact = dl[i] / d[i]
-        d[i + 1] = d[i + 1] - fact * du[i]
-        b[i + 1] = b[i + 1] - fact * b[i]
-    else:
-        fact = d[i] / dl[i]
-        d[i] = dl[i]
-        temp = d[i + 1]
-        d[i + 1] = du[i] - fact * temp
-        du[i] = temp
-        temp = b[i]
-        b[i] = b[i + 1]
-        b[i + 1] = temp - fact * b[i + 1]
     if d[n - 1] == 0.0:
         raise np.linalg.LinAlgError("singular matrix")
     # back solve with the upper factor
@@ -139,13 +126,13 @@ def _spline(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray:
     du[1:] = dx[:-1]
     dl[:-1] = dx[1:]
     b[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    d[0] = dx[1]
-    du[0] = x[2] - x[0]
     h = x[2] - x[0]
+    d[0] = dx[1]
+    du[0] = h
     b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / h
-    d[-1] = dx[-2]
-    dl[-1] = x[-1] - x[-3]
     h = x[-1] - x[-3]
+    d[-1] = dx[-2]
+    dl[-1] = h
     b[-1] = (dx[-1] ** 2 * slope[-2] + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
     s = np.array(_gtsv(dl.tolist(), d.tolist(), du.tolist(), b.tolist()), dtype=np.float64)
     # CubicHermiteSpline: PPoly coefficients, highest degree first

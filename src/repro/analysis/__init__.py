@@ -20,27 +20,18 @@ REP006    no iteration or float accumulation over ``set`` values
           (iteration order would feed a numeric reduction)
 ========  ==========================================================
 
-On top of the per-file pass, a whole-program pass (call graph +
-monotone effect fixpoint, ``callgraph.py`` / ``effects.py``) checks
-the interprocedural contracts:
-
-========  ==========================================================
-REP008    no mutation of values already dispatched into a worker
-          closure
-REP009    set-order taint must not cross a call boundary into a
-          float reduction
-REP010    kernel call paths stay inside the mypy-strict module tier
-REP011    every ``allow`` suppression still matches a finding
-REP018    parity-reachable reductions are order-stable; ``math.fsum``
-          only at allowlisted seams (none today)
-========  ==========================================================
+REP011 audits the suppression comments: each one must still silence
+a finding on its line.  Every rule reads one file at a time.
 
 Run it as ``python -m repro.analysis [paths...]`` (default: the CI
 roots ``src tests benchmarks examples``); suppress a single finding
 with a trailing ``# repro: allow[REP00x]`` comment (REP002
 suppressions are themselves only honored at the sanctioned seam).
-The serve layer's concurrency contracts are runtime tests instead:
-``tests/test_serve.py::TestConcurrencyContracts``.
+Contracts that span modules or runs are runtime tests instead: the
+serve layer's concurrency (``tests/test_serve.py::TestConcurrencyContracts``),
+hash-order independence of every golden
+(``tests/test_golden.py::TestHashSeedIndependence``), and the kernels'
+imports staying in the mypy-strict tier (``tests/test_strict_frontier.py``).
 """
 
 from .engine import Finding, lint_file, lint_source, run_paths

@@ -5,7 +5,8 @@ suppression, 2 on usage errors or a blown ``--max-seconds`` budget.
 Designed to sit next to ``ruff`` and ``mypy`` as a third named CI
 step, so failures attribute cleanly; ``--format sarif`` feeds the same
 findings to GitHub code scanning.  With no paths it checks the four
-roots CI checks (``src tests benchmarks examples``).
+roots CI checks (``src tests benchmarks examples``), one file at a
+time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from typing import List, Optional, Sequence
 
 from .engine import run_paths, to_sarif
-from .rules import ALL_RULES, AUDIT_RULES, PROGRAM_RULES
+from .rules import ALL_RULES, AUDIT_RULES
 
 #: The roots CI's blocking analyzer step checks; a no-flag run checks
 #: exactly these.
@@ -81,14 +82,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for rule in (*ALL_RULES, *PROGRAM_RULES, *AUDIT_RULES):
+        for rule in (*ALL_RULES, *AUDIT_RULES):
             print(f"{rule.id}  {rule.summary}")
         return 0
 
     select: Optional[List[str]] = None
     if args.select:
         select = [part.strip() for part in args.select.split(",") if part.strip()]
-        known = {rule.id for rule in (*ALL_RULES, *PROGRAM_RULES, *AUDIT_RULES)}
+        known = {rule.id for rule in (*ALL_RULES, *AUDIT_RULES)}
         unknown = [rule_id for rule_id in select if rule_id not in known]
         if unknown:
             parser.error(f"unknown rule id(s): {', '.join(unknown)}")

@@ -17,27 +17,14 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from fnmatch import fnmatch
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-from .callgraph import module_path, own_nodes
-from .effects import (
-    Program,
-    Site,
-    call_tainted_locals,
-    expr_unordered,
-    unordered_locals,
-)
 
 __all__ = [
     "Finding",
     "Rule",
-    "ProgramRule",
     "ALL_RULES",
-    "PROGRAM_RULES",
     "AUDIT_RULES",
     "SUPPRESSION_SCOPE",
-    "module_path",
 ]
 
 
@@ -69,7 +56,9 @@ SUPPRESSION_SCOPE: Dict[str, Tuple[str, ...]] = {
 }
 
 #: Parity-critical kernels: every float op here must be bit-for-bit
-#: reproducible between the serial and batched backends.
+#: reproducible between the serial and batched backends.  REP005's
+#: scope, and the roots ``tests/test_strict_frontier.py`` walks the
+#: imports from.
 PARITY_FILES = (
     "repro/core/batch.py",
     "repro/core/cycle.py",
@@ -618,265 +607,13 @@ class SetOrderRule(Rule):
                     )
 
 
-# ----------------------------------------------------------------------
-# Whole-program rules (REP008+): consume the call-graph/effect engine
-# ----------------------------------------------------------------------
-
-
-class ProgramRule:
-    """Base for rules over interprocedural effect summaries.
-
-    Unlike :class:`Rule`, these see the whole analyzed tree at once (a
-    :class:`~repro.analysis.effects.Program`); per-line suppressions
-    still apply to their findings.
-    """
-
-    id = "REP000"
-    summary = ""
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def finding_at(self, path: str, line: int, col: int, message: str) -> Finding:
-        return Finding(rule=self.id, path=path, line=line, col=col, message=message)
-
-
-def _in_library(path: str) -> bool:
-    return module_path(path).startswith("repro/")
-
-
-class WorkerEscapeRule(ProgramRule):
-    """REP008 — nothing captured by a worker fan-out is mutated after.
-
-    ``pmap``/``pmap_seeded``/``ProcessPoolExecutor`` pickle their
-    arguments into worker processes; a later mutation in the parent
-    diverges parent and workers (and on the in-process ``serial=True``
-    path mutates state the "workers" still share).  In the tests tree
-    the same contract binds session-/module-scoped pytest fixtures:
-    they are shared across tests by construction, so any mutation —
-    direct or through a helper — makes results order-dependent (the
-    bug PR 4's conftest fingerprint guard caught only at runtime).
-    """
-
-    id = "REP008"
-    summary = "object escaping into a worker fan-out (or shared fixture) mutated afterwards"
-
-    @staticmethod
-    def _is_test_or_fixture(fn_node: ast.AST, name: str) -> bool:
-        if name.startswith("test_"):
-            return True
-        for deco in getattr(fn_node, "decorator_list", []):
-            target = deco.func if isinstance(deco, ast.Call) else deco
-            chain = dotted_name(target)
-            if chain is not None and chain.split(".")[-1] == "fixture":
-                return True
-        return False
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        for qualname in sorted(program.graph.functions):
-            fn = program.graph.functions[qualname]
-            summary = program.effects[qualname]
-            first_escape: Dict[str, Site] = {}
-            for name, site in summary.escapes:
-                prev = first_escape.get(name)
-                if prev is None or site.lineno < prev.lineno:
-                    first_escape[name] = site
-            seen: set = set()
-            for name, msite in summary.mutations:
-                esc = first_escape.get(name)
-                if esc is not None and msite.lineno > esc.lineno:
-                    key = (msite.path, msite.lineno, name)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield self.finding_at(
-                        msite.path,
-                        msite.lineno,
-                        msite.col,
-                        f"`{name}` escaped into a worker fan-out at line "
-                        f"{esc.lineno} and is mutated afterwards "
-                        f"({msite.detail}); workers hold the pre-mutation "
-                        f"copy, so results depend on scheduling",
-                    )
-            if _in_library(fn.path):
-                continue
-            if not self._is_test_or_fixture(fn.node, fn.name):
-                continue
-            for name, msite in summary.mutations:
-                if name not in fn.params or name not in program.shared_fixtures:
-                    continue
-                if program.shared_fixtures[name] == qualname:
-                    continue  # the fixture may build its own value
-                key = (msite.path, msite.lineno, name)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.finding_at(
-                    msite.path,
-                    msite.lineno,
-                    msite.col,
-                    f"`{qualname}` mutates `{name}` ({msite.detail}), a "
-                    f"session/module-scoped fixture shared across tests; "
-                    f"copy it (or narrow the fixture scope) instead",
-                )
-
-
-class CrossCallSetOrderRule(ProgramRule):
-    """REP009 — set-order taint must not reach reductions through calls.
-
-    The intra-procedural REP006 sees ``sum(a_set)``; it is blind when
-    the set is built in one function and reduced in another.  This rule
-    follows the taint across call boundaries in both directions: a
-    callee that *returns* set-ordered data feeding a local float
-    reduction, and a locally tainted value passed into a callee
-    parameter that feeds one.
-    """
-
-    id = "REP009"
-    summary = "set-iteration-order taint reaches a float reduction through a call"
-
-    _REDUCERS = SetOrderRule._REDUCERS
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        effects = program.effects
-        for qualname in sorted(program.graph.functions):
-            fn = program.graph.functions[qualname]
-            tainted = unordered_locals(fn, effects)
-            via_call = call_tainted_locals(fn, effects)
-            for node in own_nodes(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                chain = dotted_name(node.func)
-                parts = chain.split(".") if chain else []
-                is_reducer = bool(parts) and parts[-1] in self._REDUCERS and (
-                    len(parts) == 1 or parts[0] in ("np", "numpy", "math")
-                )
-                if is_reducer and node.args:
-                    arg = node.args[0]
-                    fires = False
-                    if isinstance(arg, ast.Name) and arg.id in via_call:
-                        fires = True
-                    elif isinstance(arg, ast.Call):
-                        fires = expr_unordered(fn, arg, via_call, effects)
-                    if fires:
-                        yield self.finding_at(
-                            fn.path,
-                            arg.lineno,
-                            arg.col_offset,
-                            f"`{chain}` in `{qualname}` reduces a value whose "
-                            f"iteration order came from a set in a *callee*; "
-                            f"sort before reducing (REP006's cross-call twin)",
-                        )
-                # locally tainted value handed to a callee's reducer
-                site = None
-                for cs in fn.calls:
-                    if cs.node is node:
-                        site = cs
-                        break
-                if site is None or site.callee not in effects:
-                    continue
-                callee_summary = effects[site.callee]
-                if not callee_summary.unordered_sink_params:
-                    continue
-                callee_fn = program.graph.functions[site.callee]
-                callee_params = list(callee_fn.params)
-                if callee_fn.cls is not None and callee_params[:1] in (
-                    ["self"], ["cls"]
-                ):
-                    callee_params = callee_params[1:]
-                for i, arg in enumerate(node.args):
-                    if i >= len(callee_params):
-                        break
-                    if callee_params[i] not in callee_summary.unordered_sink_params:
-                        continue
-                    if expr_unordered(fn, arg, tainted, effects):
-                        yield self.finding_at(
-                            fn.path,
-                            arg.lineno,
-                            arg.col_offset,
-                            f"set-ordered value flows from `{qualname}` into "
-                            f"`{site.callee}` parameter "
-                            f"`{callee_params[i]}`, which feeds an "
-                            f"order-sensitive float reduction; sort at the "
-                            f"boundary",
-                        )
-
-
-class StrictFrontierRule(ProgramRule):
-    """REP010 — parity kernels only call into the mypy-strict frontier.
-
-    The bit-for-bit serial/batched/stream contract is only as strong as
-    the types it flows through: a parity-reachable call into an
-    untyped module is where an accidental float32 or object-dtype array
-    enters unchecked.  ``STRICT_MODULES`` mirrors the
-    ``[[tool.mypy.overrides]]`` strict tier in ``pyproject.toml``
-    (asserted in tests); extend both together.
-    """
-
-    id = "REP010"
-    summary = "function reachable from the parity kernels calls a non-strict-typed module"
-
-    #: Mirror of pyproject's strict-override list.  mypy's ``foo.*``
-    #: matches ``foo`` itself as well, so each glob entry appears in
-    #: both spellings.
-    STRICT_MODULES: Tuple[str, ...] = (
-        "repro._util",
-        "repro.analysis", "repro.analysis.*",
-        "repro.core", "repro.core.*",
-        "repro.eval.frontier",
-        "repro.lights.controller",
-        "repro.lights.schedule",
-        "repro.matching.partition",
-        "repro.network.geometry",
-        "repro.obs", "repro.obs.*",
-        "repro.parallel", "repro.parallel.*",
-        "repro.serve", "repro.serve.*",
-        "repro.stream", "repro.stream.*",
-        "repro.trace", "repro.trace.*",
-    )
-
-    @classmethod
-    def _is_strict(cls, module: str) -> bool:
-        return any(fnmatch(module, pat) for pat in cls.STRICT_MODULES)
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        roots = [
-            qualname
-            for qualname, fn in program.graph.functions.items()
-            if module_path(fn.path) in PARITY_FILES
-        ]
-        reachable = program.graph.reachable_from(roots)
-        seen: set = set()
-        for qualname in sorted(reachable):
-            fn = program.graph.functions[qualname]
-            for site in fn.calls:
-                module = site.callee_module
-                if module is None or not module.startswith("repro."):
-                    continue
-                if self._is_strict(module):
-                    continue
-                key = (fn.path, site.lineno, module)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.finding_at(
-                    fn.path,
-                    site.lineno,
-                    site.node.col_offset,
-                    f"`{qualname}` is reachable from the parity kernels but "
-                    f"calls into `{module}`, outside the mypy-strict "
-                    f"frontier; add the module to the strict tier (pyproject "
-                    f"+ STRICT_MODULES) or break the dependency",
-                )
-
-
 class UnusedSuppressionRule(Rule):
     """REP011 — a suppression that suppresses nothing is a finding.
 
     Mirrors ruff's RUF100: stale ``allow`` comments read as standing
     exemptions and hide real regressions when the code around them
-    changes.  The check itself lives in the engine (it needs the full
-    per-file *and* program finding sets to know what each comment
+    changes.  The check itself lives in the engine (it needs every
+    other rule's findings in the file to know what each comment
     caught); this class carries the id/summary for ``--list-rules``,
     ``--select`` validation, and SARIF metadata.  REP011 findings are
     not themselves suppressible — remove the dead comment instead.
@@ -892,101 +629,6 @@ class UnusedSuppressionRule(Rule):
         return iter(())
 
 
-class ReductionOrderRule(ProgramRule):
-    """REP018 — parity-reachable reductions must be order-stable.
-
-    Float addition is not associative: the same multiset of addends
-    summed in two different orders can differ in the last bit, which
-    is exactly the bit the golden fixtures pin.  Within the closure of
-    code reachable from the parity kernels this rule flags the three
-    ways an unstable order sneaks into a reduction: reducing a
-    set-order-tainted value (``unordered_locals`` provenance, the
-    interprocedural REP006/REP009 machinery), accumulating in a loop
-    whose iteration order derives from a set, and ``math.fsum`` —
-    whose compensated result differs from ``np.sum``'s pairwise one —
-    anywhere outside the documented ``FSUM_SEAMS`` allowlist.
-    """
-
-    id = "REP018"
-    summary = "order-unstable reduction inside the parity-reachable closure"
-
-    #: Documented seams allowed to mix ``math.fsum`` into the parity
-    #: closure.  Empty by design: the parity tier pins *one* summation
-    #: scheme (NumPy's pairwise), and a seam earns its row here only
-    #: with a golden fixture proving the scheme change is contained.
-    FSUM_SEAMS: Tuple[str, ...] = ()
-
-    _REDUCERS = SetOrderRule._REDUCERS
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        graph = program.graph
-        effects = program.effects
-        roots = [
-            q
-            for q, fn in graph.functions.items()
-            if module_path(fn.path) in PARITY_FILES
-        ]
-        reachable = graph.reachable_from(roots)
-        for qualname in sorted(reachable):
-            fn = graph.functions.get(qualname)
-            if fn is None:
-                continue
-            tainted = unordered_locals(fn, effects)
-            for node in own_nodes(fn.node):
-                if isinstance(node, ast.Call):
-                    chain = dotted_name(node.func)
-                    parts = chain.split(".") if chain else []
-                    if not parts:
-                        continue
-                    if parts[-1] == "fsum" and (
-                        len(parts) == 1 or parts[0] == "math"
-                    ):
-                        if qualname not in self.FSUM_SEAMS:
-                            yield self.finding_at(
-                                fn.path,
-                                node.lineno,
-                                node.col_offset,
-                                f"`{chain}` in parity-reachable `{qualname}` "
-                                f"mixes fsum's compensated summation with "
-                                f"np.sum's pairwise scheme; the parity tier "
-                                f"pins one reduction order (see "
-                                f"ReductionOrderRule.FSUM_SEAMS)",
-                            )
-                    is_reducer = parts[-1] in self._REDUCERS and (
-                        len(parts) == 1 or parts[0] in ("np", "numpy", "math")
-                    )
-                    if (
-                        is_reducer
-                        and node.args
-                        and expr_unordered(fn, node.args[0], tainted, effects)
-                    ):
-                        yield self.finding_at(
-                            fn.path,
-                            node.args[0].lineno,
-                            node.args[0].col_offset,
-                            f"`{chain}` in parity-reachable `{qualname}` "
-                            f"reduces set-order-tainted data; the reduction "
-                            f"order must be canonical (sort first)",
-                        )
-                elif isinstance(node, ast.For):
-                    if not expr_unordered(fn, node.iter, tainted, effects):
-                        continue
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.AugAssign) and isinstance(
-                            sub.op, (ast.Add, ast.Mult)
-                        ):
-                            yield self.finding_at(
-                                fn.path,
-                                sub.lineno,
-                                sub.col_offset,
-                                f"accumulation in `{qualname}` inside a loop "
-                                f"whose iteration order derives from a set; "
-                                f"parity-reachable accumulation must iterate "
-                                f"a canonical order (sorted(...))",
-                            )
-                            break
-
-
 ALL_RULES: Sequence[Rule] = (
     MutableDefaultRule(),
     BroadExceptRule(),
@@ -994,13 +636,6 @@ ALL_RULES: Sequence[Rule] = (
     WallClockRule(),
     ParityDtypeRule(),
     SetOrderRule(),
-)
-
-PROGRAM_RULES: Sequence[ProgramRule] = (
-    WorkerEscapeRule(),
-    CrossCallSetOrderRule(),
-    StrictFrontierRule(),
-    ReductionOrderRule(),
 )
 
 AUDIT_RULES: Sequence[Rule] = (UnusedSuppressionRule(),)

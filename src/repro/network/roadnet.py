@@ -15,7 +15,7 @@ can be emitted in the geographic (lon, lat) Table I format.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,7 +198,7 @@ class RoadNetwork:
         """Downstream intersection ids reachable in one segment."""
         return [self.segments[sid].to_id for sid in self._out[intersection_id]]
 
-    def to_networkx(self):
+    def to_networkx(self) -> Any:
         """Export as a :class:`networkx.DiGraph` (edge attr: segment id, length)."""
         import networkx as nx
 

@@ -8,6 +8,7 @@ read-only.  Every test also runs under a hang watchdog.
 from __future__ import annotations
 
 import faulthandler
+import hashlib
 import os
 
 import numpy as np
@@ -57,12 +58,18 @@ def city():
 
 
 def _fingerprint(trace, parts):
-    """Cheap content checksum of the shared artifacts (read-only guard)."""
-    total = float(np.sum(trace.speed_kmh)) + float(np.sum(trace.lon))
+    """Digest of every array in the shared artifacts (read-only guard)."""
+    digest = hashlib.sha256()
+    for name in trace.COLUMNS:
+        digest.update(getattr(trace, name).tobytes())
     for key in sorted(parts):
         p = parts[key]
-        total += float(np.sum(p.trace.speed_kmh)) + float(np.sum(p.trace.t))
-    return total
+        digest.update(repr(key).encode())
+        for name in p.trace.COLUMNS:
+            digest.update(getattr(p.trace, name).tobytes())
+        digest.update(p.segment_id.tobytes())
+        digest.update(p.dist_to_stopline_m.tobytes())
+    return digest.hexdigest()
 
 
 @pytest.fixture(scope="session")

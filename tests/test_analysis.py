@@ -1,15 +1,17 @@
 """The invariant linter (`repro.analysis`) on per-file rule fixtures.
 
 Each REP rule gets (a) a minimal bad example it must fire on and
-(b) a minimal good example it must stay silent on.  The run over the
-actual repository, the contract the CI gate enforces, is
-``tests/test_effects.py::TestBaseline``.  Paths are synthetic strings —
-``lint_source`` never touches the filesystem — chosen so
-``module_path`` maps them into the scopes each rule watches.
+(b) a minimal good example it must stay silent on.  Paths are
+synthetic strings — ``lint_source`` never touches the filesystem —
+chosen so ``module_path`` maps them into the scopes each rule watches.
+The CLI tests write small trees to ``tmp_path``.  ``TestBaseline``
+runs the analyzer over the actual repository, the contract the CI gate
+enforces.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -18,8 +20,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_source
-from repro.analysis.cli import main
-from repro.analysis.engine import module_path
+from repro.analysis.cli import DEFAULT_PATHS, main
+from repro.analysis.engine import module_path, run_paths, to_sarif
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 # Synthetic paths inside each rule's scope.
 CORE = "pkg/src/repro/core/somefile.py"
@@ -319,9 +323,70 @@ class TestEngine:
         assert "REP001" in rendered
 
 
+#: A tree-relative library file, and one module that fires (REP001)
+#: and its clean twin, for SARIF and the CLI runs over a directory.
+TREE_LIB = "src/repro/eval/driver.py"
+FIRE = "def run(items, shared={}):\n    return items, shared\n"
+CLEAN = "def run(items, shared=None):\n    return items, shared\n"
+
+
+# ----------------------------------------------------------------------
+# REP011 — unused suppressions
+# ----------------------------------------------------------------------
+class TestUnusedSuppression:
+    def test_dead_suppression_fires(self):
+        src = f"def f():\n    return 1  {ALLOW}[REP001]\n"
+        findings = lint_source(src, LIB)
+        assert rules_of(findings) == ["REP011"]
+        assert "REP001" in findings[0].message
+
+    def test_live_suppression_is_clean(self):
+        src = f"def f(xs=[]):  {ALLOW}[REP001]\n    return xs\n"
+        assert lint_source(src, LIB) == []
+
+    def test_audit_skipped_under_select(self):
+        src = f"def f():\n    return 1  {ALLOW}[REP001]\n"
+        assert lint_source(src, LIB, select=["REP002"]) == []
+
+
+# ----------------------------------------------------------------------
+# SARIF output
+# ----------------------------------------------------------------------
+class TestSarif:
+    def test_structure_and_rule_indices(self):
+        findings = lint_source(FIRE, TREE_LIB)
+        log = to_sarif(findings)
+        assert log["version"] == "2.1.0"
+        assert "sarif-schema-2.1.0" in log["$schema"]
+        (run,) = log["runs"]
+        rules = run["tool"]["driver"]["rules"]
+        ids = [r["id"] for r in rules]
+        assert len(ids) == len(set(ids))
+        assert {"REP001", "REP011"} <= set(ids)
+        (result,) = run["results"]
+        assert result["ruleId"] == "REP001"
+        assert rules[result["ruleIndex"]]["id"] == "REP001"
+        region = result["locations"][0]["physicalLocation"]["region"]
+        assert region["startLine"] >= 1 and region["startColumn"] >= 1
+        loc = result["locations"][0]["physicalLocation"]["artifactLocation"]
+        assert loc["uri"] == TREE_LIB
+
+    def test_empty_run_is_valid(self):
+        log = to_sarif([])
+        assert log["runs"][0]["results"] == []
+        json.dumps(log)  # must be serializable
+
+
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
+def _write_tree(root: Path, files) -> None:
+    for rel, source in files:
+        target = root / rel
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(source, encoding="utf-8")
+
+
 class TestCli:
     def test_clean_file_exits_zero(self, tmp_path, capsys):
         f = tmp_path / "clean.py"
@@ -357,13 +422,45 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("REP001", "REP002", "REP003", "REP004", "REP005", "REP006"):
-            assert rule_id in out
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "REP001", "REP002", "REP003", "REP004", "REP005", "REP006", "REP011",
+        ]
+
+    def test_fire_fixture_exits_one(self, tmp_path, monkeypatch, capsys):
+        _write_tree(tmp_path, [(TREE_LIB, FIRE)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "-q"]) == 1
+        assert "REP001" in capsys.readouterr().out
+
+    def test_clean_fixture_exits_zero(self, tmp_path, monkeypatch):
+        _write_tree(tmp_path, [(TREE_LIB, CLEAN)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "-q"]) == 0
+
+    def test_sarif_output_file(self, tmp_path, monkeypatch):
+        _write_tree(tmp_path, [(TREE_LIB, FIRE)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "--format", "sarif", "--output", "out.sarif", "-q"]) == 1
+        log = json.loads((tmp_path / "out.sarif").read_text())
+        assert log["runs"][0]["results"][0]["ruleId"] == "REP001"
+
+    def test_select_narrows_the_tree_run(self, tmp_path, monkeypatch, capsys):
+        _write_tree(tmp_path, [(TREE_LIB, FIRE)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "--select", "REP001", "-q"]) == 1
+        assert main(["src", "--select", "REP002", "-q"]) == 0
+        capsys.readouterr()
+
+    def test_max_seconds_budget_blown_exits_two(self, tmp_path, monkeypatch, capsys):
+        _write_tree(tmp_path, [(TREE_LIB, CLEAN)])
+        monkeypatch.chdir(tmp_path)
+        assert main(["src", "--max-seconds", "0", "-q"]) == 2
+        assert "budget" in capsys.readouterr().err
 
     def test_import_leaves_numpy_and_scipy_unloaded(self):
         """The analyzer is pure stdlib, and ``import repro`` imports no
         subpackage, so a CI run pays for neither numeric library."""
-        src = str(Path(__file__).resolve().parents[1] / "src")
+        src = str(REPO_ROOT / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         code = (
@@ -374,3 +471,23 @@ class TestCli:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert out.stdout.strip() == "[]"
+
+
+# ----------------------------------------------------------------------
+# Real tree: empty baseline
+# ----------------------------------------------------------------------
+class TestBaseline:
+    def test_tree_matches_committed_baseline(self):
+        baseline_path = REPO_ROOT / "tests" / "analysis_baseline.txt"
+        baseline = [
+            line
+            for line in baseline_path.read_text(encoding="utf-8").splitlines()
+            if line.strip()
+        ]
+        # the CLI's default roots, which CI's blocking analyzer step checks
+        findings = run_paths([str(REPO_ROOT / root) for root in DEFAULT_PATHS])
+        rendered = [
+            f"{os.path.relpath(f.path, REPO_ROOT)}:{f.line}: {f.rule}"
+            for f in findings
+        ]
+        assert rendered == baseline

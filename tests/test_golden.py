@@ -7,9 +7,20 @@ equality on the JSON-round-tripped payload — IEEE-754 doubles survive
 the shortest-repr round trip bit-for-bit, so any numeric change
 anywhere in the stack shows up as a hard diff here.  Regenerate deliberately with
 ``python -m tests.golden.regen`` (never from inside a test).
+
+The same payloads are also recomputed in fresh interpreters under fixed
+``PYTHONHASHSEED`` values: an estimate that follows the iteration order
+of a set of strings (or of ``LightKey`` tuples) moves with the hash
+seed, and a fixed pair of seeds makes such a dependence fail on every
+run instead of only when the run's random seed happens to differ from
+the one that wrote the fixture.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,12 +36,33 @@ from tests.golden.scenarios import (
 
 _BY_NAME = {spec.name: spec for spec in ALL_GOLDEN_SCENARIOS}
 
+_ROOT = Path(__file__).resolve().parents[1]
+
+#: Two fixed hash seeds; an order-dependent estimate cannot match the
+#: committed fixture under both.
+HASH_SEEDS = ("0", "1")
+
+#: Bound on one recompute, which takes about 5 s on two cores.
+RECOMPUTE_TIMEOUT_S = 120
+
+#: Recomputes every golden payload and prints them as one JSON object.
+_RECOMPUTE = (
+    "import json, sys\n"
+    "from tests.golden.scenarios import (\n"
+    "    ALL_GOLDEN_SCENARIOS, MONITOR_GOLDEN_SCENARIOS,\n"
+    "    compute_monitor_payload, compute_payload)\n"
+    "payloads = {s.name: compute_payload(s) for s in ALL_GOLDEN_SCENARIOS}\n"
+    "payloads.update(\n"
+    "    {s.name: compute_monitor_payload(s) for s in MONITOR_GOLDEN_SCENARIOS})\n"
+    "json.dump(payloads, sys.stdout)\n"
+)
+
 
 def _diff(expected, actual):
     """Human-readable first-differences between two fixture payloads."""
     lines = []
-    for section in ("estimates", "failures"):
-        exp, act = expected[section], actual[section]
+    for section in ("estimates", "failures", "lights"):
+        exp, act = expected.get(section, {}), actual.get(section, {})
         for key in sorted(set(exp) | set(act)):
             if exp.get(key) != act.get(key):
                 lines.append(f"{section}[{key}]: {exp.get(key)} != {act.get(key)}")
@@ -114,3 +146,43 @@ class TestMonitorFixture:
         )
         for light in sorted(set(expected["lights"]) | set(actual["lights"])):
             assert expected["lights"].get(light) == actual["lights"].get(light), light
+
+
+class TestHashSeedIndependence:
+    """Every golden, recomputed under fixed ``PYTHONHASHSEED`` values."""
+
+    def test_goldens_match_under_fixed_hash_seeds(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_ROOT / "src"), str(_ROOT), env.get("PYTHONPATH")])
+        )
+        # both interpreters run at once: the test costs one recompute
+        procs = {
+            seed: subprocess.Popen(
+                [sys.executable, "-c", _RECOMPUTE],
+                env={**env, "PYTHONHASHSEED": seed},
+                cwd=_ROOT,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for seed in HASH_SEEDS
+        }
+        try:
+            outputs = {
+                seed: proc.communicate(timeout=RECOMPUTE_TIMEOUT_S)
+                for seed, proc in procs.items()
+            }
+        finally:
+            for proc in procs.values():
+                proc.kill()  # a no-op once the process has exited
+                proc.wait()
+        for seed, (out, err) in outputs.items():
+            assert procs[seed].returncode == 0, err
+            payloads = json.loads(out)
+            for spec in ALL_GOLDEN_SCENARIOS + MONITOR_GOLDEN_SCENARIOS:
+                expected = load_fixture(spec)
+                assert payloads[spec.name] == expected, (
+                    f"PYTHONHASHSEED={seed}, golden_{spec.name}:\n"
+                    + _diff(expected, payloads[spec.name])
+                )

@@ -11,6 +11,7 @@ in-process dispatch path, same semantics); real pools are exercised in
 
 import json
 
+import numpy as np
 import pytest
 
 import repro.core.shard as shard_mod
@@ -95,8 +96,14 @@ class TestZeroCopyTelemetry:
 
     def test_store_restored_in_memory_after_call(self, partitions):
         store = PartitionStore.from_partitions(partitions)
+        before = {name: col.copy() for name, col in store.columns.items()}
         identify_shard(store, 5400.0, max_workers=1)
         assert store._mmap_dir is None, "the spill window closes with the call"
+        # the caller's rows come back as they went in
+        after = store.columns
+        assert sorted(after) == sorted(before)
+        for name, col in before.items():
+            np.testing.assert_array_equal(after[name], col, err_msg=name)
 
     def test_shard_stats_fold_into_report(self, partitions):
         report = RunReport()

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .._util import check_positive
 from ..matching.partition import LightPartition
@@ -151,19 +152,28 @@ def repair_outliers(
     ``2·half_width+1`` neighbourhood (NaNs ignored) is snapped to that
     median.  Genuine plan changes survive because after the change the
     neighbourhood median moves with the new level.
+
+    All windows are sorted in one pass (NaN sorts last, so a window's
+    ``m`` valid values lead it), and each median is taken as
+    ``np.median`` takes it: the middle value for odd ``m``, the mean
+    ``(a + b) / 2`` of the middle two for even ``m``.
     """
-    c = series.cycle_s.copy()
+    c = series.cycle_s
     n = c.shape[0]
     repaired = c.copy()
-    for i in range(n):
-        lo, hi = max(0, i - half_width), min(n, i + half_width + 1)
-        neigh = c[lo:hi]
-        neigh = neigh[~np.isnan(neigh)]
-        if neigh.size < 2 or np.isnan(c[i]):
-            continue
-        med = float(np.median(neigh))
-        if abs(c[i] - med) > tol_s:
-            repaired[i] = med
+    if n >= 2 and half_width >= 1:
+        pad = np.full(half_width, np.nan)
+        windows = np.sort(
+            sliding_window_view(np.concatenate([pad, c, pad]), 2 * half_width + 1),
+            axis=1,
+        )
+        m = np.count_nonzero(~np.isnan(windows), axis=1)
+        rows = np.arange(n)
+        upper = windows[rows, m // 2]
+        lower = windows[rows, np.maximum(m - 1, 0) // 2]
+        med = np.where(m % 2 == 1, upper, (lower + upper) / 2.0)
+        snap = (m >= 2) & ~np.isnan(c) & (np.abs(c - med) > tol_s)
+        repaired[snap] = med[snap]
     return MonitorSeries(
         t=series.t, cycle_s=repaired, quality=series.quality,
         n_errors=series.n_errors,

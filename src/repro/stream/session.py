@@ -45,7 +45,7 @@ this guarantee.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -148,9 +148,9 @@ class StreamSession:
         self._last_at_time: Optional[float] = None
         self._results: Dict[LightKey, _CacheEntry] = {}
         # Online monitor state: accumulated (t, cycle_s, quality) samples
-        # and how many detected changes were already reported per light.
+        # and the onsets of the changes already reported, per light.
         self._history: Dict[LightKey, List[Tuple[float, float, float]]] = {}
-        self._changes_reported: Dict[LightKey, int] = {}
+        self._onsets_reported: Dict[LightKey, Set[float]] = {}
 
     @property
     def store(self) -> PartitionStore:
@@ -396,10 +396,18 @@ class StreamSession:
         return MonitorSeries.from_samples(t, c, q)
 
     def _new_plan_changes(self, key: LightKey) -> List[PlanChange]:
+        """The detected changes whose onset this light has not reported.
+
+        Detection re-runs over the whole series, and a new sample can
+        move an earlier repair: a change may vanish and come back, or
+        its onset may move.  Keying on the onset reports each onset
+        once, and a moved onset as a new change.
+        """
         series = self.monitor_series(key)
         if len(series) < 3 or np.all(np.isnan(series.cycle_s)):
             return []
         changes = detect_plan_changes(repair_outliers(series))
-        seen = self._changes_reported.get(key, 0)
-        self._changes_reported[key] = len(changes)
-        return changes[seen:]
+        reported = self._onsets_reported.setdefault(key, set())
+        fresh = [change for change in changes if change.at_time not in reported]
+        reported.update(change.at_time for change in fresh)
+        return fresh

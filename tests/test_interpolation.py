@@ -301,16 +301,3 @@ class TestRuntimeWithoutScipy:
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert _run_python(code) == "[]"
-
-    def test_golden_payload_with_scipy_blocked(self):
-        """With scipy unimportable, the sparse golden still comes out exact."""
-        code = (
-            "import json, sys\n"
-            "sys.modules['scipy'] = None\n"
-            "from tests.golden.scenarios import (\n"
-            "    SPARSE_GOLDEN_SCENARIOS, compute_payload, load_fixture)\n"
-            "spec = SPARSE_GOLDEN_SCENARIOS[0]\n"
-            "actual = json.loads(json.dumps(compute_payload(spec)))\n"
-            "print(actual == load_fixture(spec))\n"
-        )
-        assert _run_python(code) == "True"

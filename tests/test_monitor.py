@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.monitor import (
     HistoricalProfile,
@@ -20,7 +21,40 @@ def series(cycles, t0=0.0, every=300.0, quality=None):
     return MonitorSeries(t=t, cycle_s=cycles, quality=q)
 
 
+def _repair_loop(cycle_s, half_width, tol_s):
+    """The per-sample loop ``repair_outliers`` replaced: its oracle."""
+    c = np.asarray(cycle_s, dtype=float)
+    n = c.shape[0]
+    repaired = c.copy()
+    for i in range(n):
+        lo, hi = max(0, i - half_width), min(n, i + half_width + 1)
+        neigh = c[lo:hi]
+        neigh = neigh[~np.isnan(neigh)]
+        if neigh.size < 2 or np.isnan(c[i]):
+            continue
+        med = float(np.median(neigh))
+        if abs(c[i] - med) > tol_s:
+            repaired[i] = med
+    return repaired
+
+
+#: Cycle series with gaps, ties (integer levels) and free values.
+_CYCLES = st.lists(
+    st.floats(20.0, 200.0)
+    | st.integers(40, 60).map(float)
+    | st.just(float("nan")),
+    max_size=40,
+)
+
+
 class TestRepairOutliers:
+    @settings(max_examples=300, deadline=None)
+    @given(cycles=_CYCLES, half_width=st.integers(0, 3), tol_s=st.floats(0.0, 8.0))
+    def test_matches_per_sample_loop(self, cycles, half_width, tol_s):
+        s = series(cycles)
+        got = repair_outliers(s, half_width=half_width, tol_s=tol_s).cycle_s
+        assert got.tobytes() == _repair_loop(s.cycle_s, half_width, tol_s).tobytes()
+
     def test_isolated_spike_repaired(self):
         s = series([98, 98, 240, 98, 98, 98])
         r = repair_outliers(s)

@@ -3,20 +3,27 @@
 Process pools live in ``tests/test_parallel.py`` (slow tier); these
 cover the contracts that must hold before any process is spawned:
 ``max_workers`` validation, the common-slot hygiene that keeps one
-run's store from leaking into the next ``pmap`` call, and the
-``common_bytes_limit`` zero-copy guard.
+run's store from leaking into the next ``pmap`` call, the
+``common_bytes_limit`` zero-copy guard, and the failure record the
+containment seam returns.
 """
+
+import pickle
+import traceback
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.parallel import pool
 from repro.parallel.pool import (
+    WorkerError,
     default_workers,
     get_common,
     payload_nbytes,
     pmap,
     pmap_seeded,
+    run_guarded,
 )
 from repro.trace.store import PartitionStore
 
@@ -132,3 +139,52 @@ class TestCommonBytesLimit:
                 common_bytes_limit=limit,
             )
         assert out == [2, 3]
+
+
+class _Marker:
+    """A frame-local object whose lifetime the seam must not extend."""
+
+
+def _deep_failure(depth, refs):
+    """Fail *depth* frames down, with a chained cause and a frame local."""
+    marker = _Marker()
+    refs.append(weakref.ref(marker))
+    if depth:
+        return _deep_failure(depth - 1, refs)
+    try:
+        {}["missing"]
+    except KeyError as exc:
+        raise ValueError(f"failed with {marker.__class__.__name__}") from exc
+
+
+class TestGuardedFailureRecord:
+    """``run_guarded`` keeps a frame-free traceback and formats it on read."""
+
+    @pytest.mark.parametrize("depth", [0, 30])
+    def test_traceback_is_the_format_exc_text(self, depth, monkeypatch):
+        texts = []
+        real = pool.TracebackException
+
+        def capture(*args, **kwargs):
+            # runs inside the seam's handler: format_exc sees the failure
+            texts.append(traceback.format_exc(limit=20))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pool, "TracebackException", capture)
+        err = run_guarded(_deep_failure, depth, [])
+        assert isinstance(err, WorkerError)
+        (text,) = texts
+        assert err.traceback == text
+        assert "KeyError" in text and "ValueError: failed with _Marker" in text
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone.traceback == text
+        assert clone == err and hash(clone) == hash(err)
+
+    def test_no_frame_local_outlives_the_seam(self):
+        refs = []
+        err = run_guarded(_deep_failure, 3, refs)
+        assert isinstance(err, WorkerError)
+        assert len(refs) == 4
+        assert all(ref() is None for ref in refs), "the record pins a raising frame"
+        assert "_deep_failure" in err.traceback
+        assert all(ref() is None for ref in refs)

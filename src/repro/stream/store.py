@@ -5,7 +5,8 @@ a ``PartitionStore`` and translates each arriving chunk into the
 minimal cache damage —
 
 * a **touched** light (one that received records) loses its partition
-  view, stop events and mean report interval;
+  view and mean report interval, and the stop events of the chunk's
+  taxis (the store re-extracts those taxis' rows on the next read);
 * its perpendicular partner at the same intersection keeps every
   cache, since its own records/stops/interval are untouched, but is
   **dirty**: §V.B enhancement mirrors the touched light's samples into

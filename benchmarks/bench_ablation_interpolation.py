@@ -8,31 +8,36 @@ the cycle-identification task (DESIGN.md ablation #1).
 import numpy as np
 import pytest
 
-from conftest import banner, window_samples
-from repro.core.cycle import CycleConfig, identify_cycle_from_samples
-from repro.core.signal_types import InsufficientDataError
+from conftest import banner
+from repro.core import PipelineConfig, identify_cycles
+from repro.core.cycle import CycleConfig
+from repro.trace.store import PartitionStore
 
 KINDS = ("spline", "linear", "previous")
 TIMES = tuple(npeals for npeals in np.arange(3600.0, 7200.0 + 1, 600.0))
 
 
+def _config(kind):
+    """The cycle stage with the 150 m cut, no mirror and no stop-end comb."""
+    return PipelineConfig(
+        use_enhancement=False, cycle=CycleConfig(kind=kind, stop_end_weight=0.0)
+    )
+
+
 def test_ablation_interpolation_kind(benchmark, small_city, small_city_data):
     _, partitions = small_city_data
+    store = PartitionStore.from_partitions(partitions)
 
     banner("Ablation — interpolation kind (spline vs linear vs hold)")
     hits = {}
     for kind in KINDS:
-        cfg = CycleConfig(kind=kind)
         errs = []
-        for key in sorted(partitions):
-            p = partitions[key]
-            for at in TIMES:
-                t, v = window_samples(p, at - 1800.0, at, 150.0)
-                try:
-                    est = identify_cycle_from_samples(t, v, at - 1800.0, at, cfg)
-                    errs.append(abs(est.cycle_s - 98.0))
-                except InsufficientDataError:
-                    errs.append(np.inf)
+        for at in TIMES:
+            cycles, _, _ = identify_cycles(store, at, config=_config(kind))
+            errs.extend(
+                abs(cycles[key].cycle_s - 98.0) if key in cycles else np.inf
+                for key in store
+            )
         errs = np.array(errs)
         hits[kind] = float((errs <= 3.0).mean())
         print(f"  {kind:<10} windows {errs.size}, within 3 s: "
@@ -43,5 +48,4 @@ def test_ablation_interpolation_kind(benchmark, small_city, small_city_data):
     assert hits["spline"] >= max(hits.values()) - 0.15
 
     key = max(partitions, key=lambda k: len(partitions[k]))
-    t, v = window_samples(partitions[key], 5400.0, 7200.0, 150.0)
-    benchmark(identify_cycle_from_samples, t, v, 5400.0, 7200.0, CycleConfig())
+    benchmark(identify_cycles, store, 7200.0, config=_config("spline"), keys=[key])

@@ -11,11 +11,17 @@ import numpy as np
 import pytest
 
 from conftest import banner, window_samples
-from repro.core.cycle import CycleConfig, identify_cycle_from_samples, spectrum
+from repro.core import PipelineConfig, identify_cycles
+from repro.core.cycle import CycleConfig, spectrum
 from repro.core.interpolation import regularize
+from repro.trace.store import PartitionStore
 
 TRUE_CYCLE = 98.0
 WINDOW = 3600.0
+#: The cycle stage on the 1 h window: 150 m cut, no mirror, no stop-end comb.
+CONFIG = PipelineConfig(
+    window_s=WINDOW, use_enhancement=False, cycle=CycleConfig(stop_end_weight=0.0)
+)
 
 
 @pytest.fixture(scope="module")
@@ -45,10 +51,10 @@ def test_fig06_interpolation_and_dft(benchmark, one_light):
           f"-> Eq.2 cycle = 3600/{best_bin} = {plain_cycle:.1f} s (Fig. 6(c))")
     print(f"  paper example: bin 37 -> 97 s vs ground truth 98 s")
 
-    est = benchmark(
-        identify_cycle_from_samples,
-        t, v, 7200.0 - WINDOW, 7200.0, CycleConfig(),
-    )
+    key = one_light.key
+    store = PartitionStore.from_partitions({key: one_light})
+    cycles, _, _ = benchmark(identify_cycles, store, 7200.0, config=CONFIG)
+    est = cycles[key]
     print(f"  refined estimate: {est.cycle_s:.2f} s "
           f"(truth {TRUE_CYCLE:.0f} s, error {est.cycle_s - TRUE_CYCLE:+.2f} s, "
           f"quality z={est.quality:.1f})")

@@ -12,22 +12,29 @@ the sparse direction is scored with the enhancement disabled vs
 enabled, across many windows.
 """
 
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from conftest import banner, window_samples
-from repro.core.cycle import identify_cycle_from_samples
-from repro.core.enhancement import choose_primary, enhance_samples
-from repro.core.signal_types import InsufficientDataError
+from conftest import banner
+from repro.core import PipelineConfig, identify_cycles
+from repro.core.cycle import CycleConfig
 from repro.lights.intersection import SignalPlan, attach_signals_to_network
 from repro.matching import match_trace, partition_by_light
 from repro.network import grid_network
 from repro.sim import ApproachConfig, CitySimulation
 from repro.trace import TraceGenerator
+from repro.trace.store import PartitionStore
 
 CYCLE = 98.0
 NS_RATE = 60.0     # vehicles/hour — a minor road taxis seldom cover
 EW_RATE = 420.0    # the perpendicular arterial
+#: The cycle stage with the 150 m cut and no stop-end comb: own
+#: direction only, or mirroring the perpendicular one on every window.
+OWN = PipelineConfig(use_enhancement=False, cycle=CycleConfig(stop_end_weight=0.0))
+MIRRORED = replace(OWN, use_enhancement=True, enhancement_threshold=sys.maxsize)
 
 
 @pytest.fixture(scope="module")
@@ -41,22 +48,21 @@ def sparse_intersection():
     sim = CitySimulation(net, signals, rates, ApproachConfig(segment_length_m=400.0))
     res = sim.run(0.0, 4 * 3600.0, seed=31)
     trace = TraceGenerator(net).generate(res, rng=np.random.default_rng(6))
-    return partition_by_light(match_trace(trace, net), net)
+    return PartitionStore.from_partitions(
+        partition_by_light(match_trace(trace, net), net)
+    )
 
 
-def _attempt(partition, perpendicular, at, enhance, window=1800.0):
-    t, v = window_samples(partition, at - window, at, 150.0)
-    n_own = t.size
-    if enhance and perpendicular is not None:
-        tp, vp = window_samples(perpendicular, at - window, at, 150.0)
-        if tp.size:
-            t1, v1, t2, v2 = choose_primary(t, v, tp, vp)
-            t, v = enhance_samples(t1, v1, t2, v2)
-    try:
-        est = identify_cycle_from_samples(t, v, at - window, at, enhanced=enhance)
-        return est.cycle_s, n_own, t.size
-    except InsufficientDataError:
-        return None, n_own, t.size
+def _attempt(partitions, key, at, enhance):
+    """(cycle or None, own samples, samples the cycle stage used)."""
+    cycles, _, tels = identify_cycles(
+        partitions, at, config=MIRRORED if enhance else OWN, keys=[key]
+    )
+    n_own = tels[key].counters["samples_primary"]
+    est = cycles.get(key)
+    if est is None:
+        return None, n_own, n_own + tels[key].counters.get("samples_mirrored", 0)
+    return est.cycle_s, n_own, est.n_samples
 
 
 def test_fig07_enhancement(benchmark, sparse_intersection):
@@ -69,13 +75,11 @@ def test_fig07_enhancement(benchmark, sparse_intersection):
 
     stats = {False: [], True: []}
     for iid in range(4):
-        p = partitions.get((iid, "NS"))
-        q = partitions.get((iid, "EW"))
-        if p is None or q is None:
+        if (iid, "NS") not in partitions or (iid, "EW") not in partitions:
             continue
         for at in times:
             for enhance in (False, True):
-                cyc, n_own, n_used = _attempt(p, q, at, enhance)
+                cyc, n_own, n_used = _attempt(partitions, (iid, "NS"), at, enhance)
                 err = abs(cyc - CYCLE) if cyc is not None else np.inf
                 stats[enhance].append((err, n_own, n_used))
 
@@ -95,5 +99,4 @@ def test_fig07_enhancement(benchmark, sparse_intersection):
           f"windows within 10 s")
     assert hits_on > hits_off, "enhancement must add accurate windows"
 
-    p, q = partitions[(0, "NS")], partitions[(0, "EW")]
-    benchmark(_attempt, p, q, times[-1], True)
+    benchmark(_attempt, partitions, (0, "NS"), times[-1], True)

@@ -56,7 +56,9 @@ def main() -> None:
     parts = partition_by_light(match_trace(trace, scn.net), scn.net)
     p = parts[(target, "NS")]
 
-    series = monitor_cycle(p, 5 * 3600.0, 12 * 3600.0, every_s=300.0, window_s=1800.0)
+    series = monitor_cycle(
+        {p.key: p}, 5 * 3600.0, 12 * 3600.0, every_s=300.0, window_s=1800.0
+    )[p.key]
     repaired = repair_outliers(series)
     lo, hi = off.cycle_s - 10, peak.cycle_s + 10
     print(f"cycle estimates every 5 min ({len(series)} windows, "

@@ -354,7 +354,9 @@ def _cmd_monitor(args) -> int:
         return 2
     p = partitions[key]
     t0, t1 = float(p.trace.t.min()), float(p.trace.t.max())
-    series = monitor_cycle(p, t0, t1, every_s=args.every, window_s=args.window)
+    series = monitor_cycle(
+        {key: p}, t0, t1, every_s=args.every, window_s=args.window
+    )[key]
     repaired = repair_outliers(series)
     print(f"light {key}: {len(series)} windows, "
           f"{100 * series.valid_fraction():.0f}% valid")

@@ -12,11 +12,7 @@ from .cycle import (
     CycleConfig,
     FoldScanner,
     fold_zscore,
-    fold_zscore_grid,
     stop_end_comb_zscore,
-    identify_cycle,
-    identify_cycle_from_samples,
-    refine_cycle_by_folding,
     spectrum,
 )
 from .coordination import (
@@ -40,6 +36,7 @@ from .batch import (
     circular_moving_average_batch,
     cycle_profile_batch,
     identify_batch,
+    identify_cycles,
     spectra_batch,
 )
 from .pipeline import BACKENDS, PipelineConfig, identify_light, identify_many
@@ -65,11 +62,7 @@ __all__ = [
     "find_signal_change",
     "stop_end_density",
     "CycleConfig",
-    "identify_cycle",
-    "identify_cycle_from_samples",
-    "refine_cycle_by_folding",
     "fold_zscore",
-    "fold_zscore_grid",
     "FoldScanner",
     "stop_end_comb_zscore",
     "spectrum",
@@ -98,6 +91,7 @@ __all__ = [
     "identify_shard",
     "balanced_shards",
     "identify_batch",
+    "identify_cycles",
     "spectra_batch",
     "cycle_profile_batch",
     "circular_moving_average_batch",

@@ -3,30 +3,28 @@
 This module holds the only definition of the seven §V–§VI stages
 (samples, stops, cycle, red, superposition, changepoint, refine) and
 the only orchestrator that runs them, :func:`identify_batch`.  Every
-entry point goes through it: ``identify_many``'s ``"batched"`` backend
-runs the whole city in one call, ``"serial"`` runs one light per call,
-``"shard"`` runs one key shard per worker, the stream session re-runs
-its dirty lights, and :func:`repro.core.pipeline.identify_light` runs
-one light on a one-light store and re-raises its exception.
+identification entry point goes through it: ``identify_many``'s
+``"batched"`` backend runs the whole city in one call, ``"serial"``
+runs one light per call, ``"shard"`` runs one key shard per worker, the
+stream session re-runs its dirty lights, and
+:func:`repro.core.pipeline.identify_light` runs one light on a
+one-light store and re-raises its exception.
 
-The per-light work is split into three passes (:func:`_prepare_light`,
-:func:`_score_light`, :func:`_assemble_light`), and between them the
-whole city shares array kernels instead of paying per-light Python
-overhead:
+The cycle stage (§V) is one function, :func:`identify_cycles`:
+samples (with §V.B's perpendicular mirror), stops, regularization,
+**one** ``np.fft.rfft`` over the ``(n_lights, n_seconds)`` matrix of
+regularized 1 Hz speed grids (:func:`spectra_batch`) and each light's
+candidate selection (:func:`repro.core.cycle._select_cycle`, one
+:class:`~repro.core.cycle.FoldScanner` per light).  The §VII monitor
+(:func:`repro.core.monitor.monitor_cycle`) calls it once per window;
+:func:`identify_batch` runs it, then red, superposition and change point
+in two more passes (:func:`_score_light`, :func:`_assemble_light`), with
+the whole city sharing array kernels between them:
 
-* **one** ``np.fft.rfft`` over the ``(n_lights, n_seconds)`` matrix of
-  regularized 1 Hz speed grids (:func:`spectra_batch`);
 * **one** global fold + ``bincount`` building every light's superposed
   cycle profile (:func:`cycle_profile_batch`);
 * **one** strided cumulative-sum pass computing every light's circular
   moving average (:func:`circular_moving_average_batch`).
-
-The cycle stage's epoch-folding scans run per light, in
-:func:`repro.core.cycle._select_cycle`: one
-:class:`~repro.core.cycle.FoldScanner` per light scores each candidate
-grid (all K spectral candidates' grids together) in one exact-remainder
-fold and offset-``bincount`` pass.  The §VII monitor runs the same
-scanner through :func:`~repro.core.cycle.identify_cycle_from_samples`.
 
 Every kernel is row-wise exact: it reproduces the floating-point
 operation order of its scalar reference (``spectrum``, ``fold_zscore``,
@@ -64,11 +62,12 @@ from .enhancement import choose_primary, enhance_samples
 from .interpolation import regularize
 from .pipeline import PipelineConfig
 from .redlight import estimate_red_duration, refine_red_from_change
-from .signal_types import InsufficientDataError, ScheduleEstimate
+from .signal_types import CycleEstimate, InsufficientDataError, ScheduleEstimate
 from .superposition import fill_circular
 
 __all__ = [
     "identify_batch",
+    "identify_cycles",
     "spectra_batch",
     "cycle_profile_batch",
     "circular_moving_average_batch",
@@ -218,9 +217,9 @@ def _prepare_light(
     at_time: float,
     tel: StageTelemetry,
 ) -> dict:
-    """Pass 1 for one light: samples, stops, regularized grid.
+    """The cycle pass for one light, up to the DFT: samples, stops, grid.
 
-    Raises on any per-light problem; the orchestrator routes the call
+    Raises on any per-light problem; :func:`_cycle_pass` routes the call
     through :func:`repro.parallel.pool.run_guarded`.
     """
     ccfg = cfg.cycle
@@ -274,22 +273,19 @@ def _prepare_light(
     return dict(t=t, v=v, enhanced=enhanced, stops=stops, stop_ends=stop_ends, sig=sig)
 
 
-def _score_light(
-    store: PartitionStore,
-    key: LightKey,
+def _select_light(
     st: dict,
     cfg: PipelineConfig,
     periods: np.ndarray,
     in_band: np.ndarray,
     anchor: float,
     at_time: float,
-    phase_anchor: float,
     tel: StageTelemetry,
 ) -> dict:
-    """Pass 2 for one light: cycle selection, red, phase window.
+    """§V's last step for one light: cycle selection on its spectrum row.
 
     Mutates and returns ``st``; raises on failure (routed through the
-    containment seam by the orchestrator).
+    containment seam by :func:`_cycle_pass`).
     """
     ccfg = cfg.cycle
     with tel.stage("cycle"):
@@ -298,14 +294,30 @@ def _score_light(
                 f"window [{anchor}, {at_time}) has no DFT bin inside "
                 f"[{ccfg.min_cycle_s}, {ccfg.max_cycle_s}] s"
             )
-        cyc = _select_cycle(
+        st["cyc"] = _select_cycle(
             st["t"], st["v"], periods, st["mag"], in_band, ccfg,
             enhanced=st["enhanced"],
             stop_ends=st["stop_ends"] if len(st["stops"]) else None,
             telemetry=tel,
         )
-        cycle_s = cyc.cycle_s
+    return st
 
+
+def _score_light(
+    store: PartitionStore,
+    key: LightKey,
+    st: dict,
+    cfg: PipelineConfig,
+    at_time: float,
+    phase_anchor: float,
+    tel: StageTelemetry,
+) -> dict:
+    """Pass 2 for one light: red duration and the phase window.
+
+    Mutates and returns ``st``; raises on failure (routed through the
+    containment seam by the orchestrator).
+    """
+    cycle_s = st["cyc"].cycle_s
     with tel.stage("red"):
         interval_s = (
             store.mean_interval(key) if cfg.measure_interval else None
@@ -336,7 +348,7 @@ def _score_light(
             )
         tel.count("samples_phase", int(t_ph.shape[0]))
 
-    st.update(cyc=cyc, cycle_s=cycle_s, red=red, red_s=red_s, t_ph=t_ph, v_ph=v_ph)
+    st.update(cycle_s=cycle_s, red=red, red_s=red_s, t_ph=t_ph, v_ph=v_ph)
     return st
 
 
@@ -413,30 +425,25 @@ def _assemble_light(
     )
 
 
-def _run_passes(
+def _cycle_pass(
     store: PartitionStore,
     at_time: float,
-    config: Optional[PipelineConfig],
+    cfg: PipelineConfig,
     tels: Dict[LightKey, StageTelemetry],
-) -> Tuple[Dict[LightKey, ScheduleEstimate], Dict[LightKey, WorkerError]]:
-    """Run the three passes, and the whole-city kernels between them.
+) -> Tuple[Dict[LightKey, dict], Dict[LightKey, WorkerError]]:
+    """§V for every light in ``tels``: the one cycle stage.
 
-    Identifies every light in ``tels``, writing its stage timings and
-    counters into ``tels[key]``.  Each per-light step runs through
-    :func:`repro.parallel.pool.run_guarded`: a light that raises leaves
-    the later passes with its :class:`~repro.parallel.pool.WorkerError`
-    and every other light carries on.  Returns ``(estimates, errors)``.
+    Samples (with the §V.B mirror), stops and the regularized grid per
+    light, one whole-city DFT, then each light's cycle selection.
+    Returns ``(states, errors)``: a surviving light's state holds its
+    :class:`~repro.core.signal_types.CycleEstimate` under ``"cyc"`` and
+    what the later stages read (samples, stops, stop ends).
     """
-    cfg = PipelineConfig() if config is None else config
     ccfg = cfg.cycle
-    keys = sorted(tels)
     anchor = at_time - cfg.window_s
-    phase_anchor = at_time - cfg.phase_window_s
     states: Dict[LightKey, dict] = {}
     errors: Dict[LightKey, WorkerError] = {}
-
-    # -- per-light pass 1: samples, stops, regularized grid -------------
-    for key in keys:
+    for key in sorted(tels):
         state = run_guarded(
             _prepare_light, store, key, partner_of(key), cfg, anchor, at_time,
             tels[key],
@@ -445,22 +452,49 @@ def _run_passes(
             errors[key] = state
         else:
             states[key] = state
+    if not states:
+        return states, errors
 
-    # -- whole-city DFT -------------------------------------------------
+    # -- whole-city DFT, then each light's selection --------------------
     live = list(states)
-    periods = in_band = None
-    if live:
-        sigs = np.stack([states[key]["sig"] for key in live])
-        periods, mags = spectra_batch(sigs, ccfg.dt)
-        in_band = (periods >= ccfg.min_cycle_s) & (periods <= ccfg.max_cycle_s)
-        for i, key in enumerate(live):
-            states[key]["mag"] = mags[i]
+    sigs = np.stack([states[key]["sig"] for key in live])
+    periods, mags = spectra_batch(sigs, ccfg.dt)
+    in_band = (periods >= ccfg.min_cycle_s) & (periods <= ccfg.max_cycle_s)
+    for i, key in enumerate(live):
+        states[key]["mag"] = mags[i]
+        picked = run_guarded(
+            _select_light, states[key], cfg, periods, in_band, anchor, at_time,
+            tels[key],
+        )
+        if isinstance(picked, WorkerError):
+            errors[key] = picked
+            del states[key]
+    return states, errors
 
-    # -- per-light pass 2: cycle selection, red, phase window -----------
-    for key in live:
+
+def _run_passes(
+    store: PartitionStore,
+    at_time: float,
+    config: Optional[PipelineConfig],
+    tels: Dict[LightKey, StageTelemetry],
+) -> Tuple[Dict[LightKey, ScheduleEstimate], Dict[LightKey, WorkerError]]:
+    """Run the cycle pass, the later passes, and the kernels between them.
+
+    Identifies every light in ``tels``, writing its stage timings and
+    counters into ``tels[key]``.  Each per-light step runs through
+    :func:`repro.parallel.pool.run_guarded`: a light that raises leaves
+    the later passes with its :class:`~repro.parallel.pool.WorkerError`
+    and every other light carries on.  Returns ``(estimates, errors)``.
+    """
+    cfg = PipelineConfig() if config is None else config
+    phase_anchor = at_time - cfg.phase_window_s
+    states, errors = _cycle_pass(store, at_time, cfg, tels)
+
+    # -- per-light pass 2: red, phase window ----------------------------
+    for key in list(states):
         scored = run_guarded(
-            _score_light, store, key, states[key], cfg, periods, in_band,
-            anchor, at_time, phase_anchor, tels[key],
+            _score_light, store, key, states[key], cfg, at_time, phase_anchor,
+            tels[key],
         )
         if isinstance(scored, WorkerError):
             errors[key] = scored
@@ -508,6 +542,49 @@ def _run_passes(
     return estimates, errors
 
 
+def _light_failures(
+    errors: Dict[LightKey, WorkerError], tels: Dict[LightKey, StageTelemetry]
+) -> Dict[LightKey, LightFailure]:
+    """Each failed light's record: its error, at the stage it last entered."""
+    return {
+        key: LightFailure(
+            error_type=errors[key].error_type,
+            stage=tels[key].last_stage or "setup",
+            message=errors[key].message,
+        )
+        for key in sorted(errors)
+    }
+
+
+def identify_cycles(
+    store: PartitionStore,
+    at_time: float,
+    *,
+    config: Optional[PipelineConfig] = None,
+    keys: Optional[Sequence[LightKey]] = None,
+) -> Tuple[
+    Dict[LightKey, CycleEstimate],
+    Dict[LightKey, LightFailure],
+    Dict[LightKey, StageTelemetry],
+]:
+    """Every light's cycle at ``at_time``: §V alone, through the batched DFT.
+
+    The cycle stage :func:`identify_batch` runs before red,
+    superposition and change point, on the same arguments: ``store``
+    (a plain partition dict is wrapped on the fly), ``config`` and
+    ``keys``.  Returns ``(cycles, failures, telemetry_by_light)``; each
+    light lands in exactly one of the first two, so a light that would
+    fail at red or superposition still has its cycle here.
+    """
+    store = PartitionStore.from_partitions(store)
+    keys = sorted(store) if keys is None else sorted(keys)
+    tels = {key: StageTelemetry() for key in keys}
+    cfg = PipelineConfig() if config is None else config
+    states, errors = _cycle_pass(store, at_time, cfg, tels)
+    cycles = {key: st["cyc"] for key, st in states.items()}
+    return cycles, _light_failures(errors, tels), tels
+
+
 def identify_batch(
     store: PartitionStore,
     at_time: float,
@@ -540,12 +617,4 @@ def identify_batch(
     keys = sorted(store) if keys is None else sorted(keys)
     tels = {key: StageTelemetry() for key in keys}
     estimates, errors = _run_passes(store, at_time, config, tels)
-    failures = {
-        key: LightFailure(
-            error_type=errors[key].error_type,
-            stage=tels[key].last_stage or "setup",
-            message=errors[key].message,
-        )
-        for key in sorted(errors)
-    }
-    return estimates, failures, tels
+    return estimates, _light_failures(errors, tels), tels

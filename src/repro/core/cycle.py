@@ -6,7 +6,7 @@ magnitude spectrum whose strongest in-band component is the light's
 frequency; the cycle length follows as ``window_length / bin_index``
 (Eq. 2 of the paper — e.g. 37 cycles in an hour → 3600/37 ≈ 97 s).
 
-Two refinements beyond the paper's literal argmax (both ablatable):
+Four refinements beyond the paper's literal argmax (all ablatable):
 
 * **candidate re-scoring** — take the top-K spectral peaks and keep the
   one whose *epoch-folded* profile is most significantly non-flat
@@ -28,6 +28,11 @@ Two refinements beyond the paper's literal argmax (both ablatable):
 
 Set ``n_candidates=1, refine=False, stop_end_weight=0`` to reproduce
 the paper's plain argmax (bench ``bench_ablation_dft``).
+
+The stage itself — samples, regularization, one DFT for the whole city,
+then :func:`_select_cycle` per light — runs in
+:func:`repro.core.batch.identify_cycles`, for identification and for the
+§VII monitor alike; this module holds its kernels.
 """
 
 from __future__ import annotations
@@ -37,21 +42,16 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._util import check_1d, check_positive
+from .._util import check_1d, check_nonnegative, check_positive
 from ..obs.telemetry import SupportsCount
-from .signal_types import CycleEstimate, InsufficientDataError
-from .interpolation import regularize
+from .signal_types import CycleEstimate
 
 __all__ = [
     "CycleConfig",
     "spectrum",
     "fold_zscore",
     "stop_end_comb_zscore",
-    "fold_zscore_grid",
     "FoldScanner",
-    "identify_cycle",
-    "identify_cycle_from_samples",
-    "refine_cycle_by_folding",
 ]
 
 
@@ -110,6 +110,11 @@ class CycleConfig:
         check_positive("dt", self.dt)
         if self.n_candidates < 1:
             raise ValueError("n_candidates must be >= 1")
+        if self.min_samples < 1:
+            raise ValueError("min_samples must be >= 1")
+        check_positive("fold_bin_s", self.fold_bin_s)
+        check_positive("refine_bin_s", self.refine_bin_s)
+        check_nonnegative("stop_end_weight", self.stop_end_weight)
 
 
 def spectrum(values: np.ndarray, dt: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
@@ -163,7 +168,7 @@ def fold_zscore(
     # exact 0.0, so the sum's pairwise association — and hence the
     # last-bit rounding — is the same for every row of a batched
     # (n_candidates, n_bins) layout.  This is what lets
-    # repro.core.batch.fold_zscore_grid match this function bit-for-bit.
+    # FoldScanner.scores match this function bit-for-bit.
     means = np.where(filled, sums / np.maximum(counts, 1), 0.0)
     chi2 = float(np.sum(counts * means**2) / var)
     return (chi2 - k) / np.sqrt(2.0 * k)
@@ -391,61 +396,6 @@ class FoldScanner:
         return self.scan_many([center_s], half_width_s, step_s, bin_s)[0]
 
 
-def fold_zscore_grid(
-    t: np.ndarray,
-    v: np.ndarray,
-    cycles: np.ndarray,
-    bin_s: float,
-    ends: Optional[np.ndarray] = None,
-    end_weight: float = 0.0,
-) -> np.ndarray:
-    """Combined fold (+ stop-end comb) z-scores at many candidate periods.
-
-    One-shot :meth:`FoldScanner.scores`: element ``j`` equals
-    ``fold_zscore(t, v, cycles[j], bin_s)`` plus
-    ``end_weight * stop_end_comb_zscore(ends, cycles[j], bin_s)`` when
-    finite, bit for bit.
-    """
-    scanner = FoldScanner(t, v, 0.0, np.inf, ends=ends, end_weight=end_weight)
-    return scanner.scores(cycles, bin_s)
-
-
-def identify_cycle(
-    values: np.ndarray,
-    config: Optional[CycleConfig] = None,
-    *,
-    n_samples: int = -1,
-    enhanced: bool = False,
-) -> CycleEstimate:
-    """Paper-literal §V on a regularized signal: in-band DFT argmax.
-
-    ``quality`` is the winning peak's magnitude over the median in-band
-    magnitude.  For the candidate-rescored variant use
-    :func:`identify_cycle_from_samples`, which also sees the raw
-    (unregularized) samples the folding statistic needs.
-    """
-    config = CycleConfig() if config is None else config
-    periods, mag = spectrum(values, config.dt)
-    in_band = (periods >= config.min_cycle_s) & (periods <= config.max_cycle_s)
-    if not in_band.any():
-        raise InsufficientDataError(
-            f"window of {values.shape[0]} samples has no DFT bin inside "
-            f"[{config.min_cycle_s}, {config.max_cycle_s}] s"
-        )
-    band_mag = np.where(in_band, mag, -np.inf)
-    best = int(np.argmax(band_mag))
-    peak = float(mag[best])
-    med = float(np.median(mag[in_band]))
-    return CycleEstimate(
-        cycle_s=float(periods[best]),
-        peak_index=best + 1,  # rfft bin number (cycles per window)
-        peak_magnitude=peak,
-        quality=peak / med if med > 0 else float("inf"),
-        n_samples=n_samples,
-        enhanced=enhanced,
-    )
-
-
 def _select_cycle(
     t: np.ndarray,
     v: np.ndarray,
@@ -460,9 +410,9 @@ def _select_cycle(
 ) -> CycleEstimate:
     """Candidate re-scoring + refinement on a precomputed spectrum.
 
-    The cycle stage's selection, for :mod:`repro.core.batch` and for
-    :func:`identify_cycle_from_samples`: top-K spectral peaks → folding
-    re-score → fine scan → subharmonic check.  One :class:`FoldScanner`
+    The cycle stage's selection, run per light by
+    :func:`repro.core.batch.identify_cycles`: top-K spectral peaks →
+    folding re-score → fine scan → subharmonic check.  One :class:`FoldScanner`
     serves every scan of the light; the K candidates' grids are scored
     in one call, and the subharmonic divisors one at a time, because the
     first that qualifies ends the check.
@@ -523,75 +473,3 @@ def _select_cycle(
         n_samples=int(t.shape[0]),
         enhanced=enhanced,
     )
-
-
-def identify_cycle_from_samples(
-    t: np.ndarray,
-    v: np.ndarray,
-    t0: float,
-    t1: float,
-    config: Optional[CycleConfig] = None,
-    *,
-    enhanced: bool = False,
-    stop_ends: Optional[np.ndarray] = None,
-    telemetry: Optional[SupportsCount] = None,
-) -> CycleEstimate:
-    """End-to-end §V: regularize over ``[t0, t1)``, DFT, select, refine.
-
-    With ``config.n_candidates > 1`` the top spectral peaks are
-    re-scored on the *raw* samples by :func:`fold_zscore` (plus the
-    stop-end comb when ``stop_ends`` is given) and the most
-    significantly periodic one wins; with ``config.refine`` the winner
-    is polished by a fine folding scan and checked against its
-    sub-multiples.
-
-    ``telemetry`` is an optional
-    :class:`repro.obs.telemetry.StageTelemetry` (duck-typed: anything
-    with ``count(name, n)``) that receives the candidate/scan counters.
-
-    Raises :class:`InsufficientDataError` when the window is too sparse
-    (sparse windows are where §V.B's enhancement earns its keep).
-    """
-    config = CycleConfig() if config is None else config
-    t = check_1d("t", t)
-    v = check_1d("v", v)
-    grid, sig = regularize(
-        t, v, t0, t1, dt=config.dt, kind=config.kind, min_samples=config.min_samples
-    )
-    periods, mag = spectrum(sig, config.dt)
-    in_band = (periods >= config.min_cycle_s) & (periods <= config.max_cycle_s)
-    if not in_band.any():
-        raise InsufficientDataError(
-            f"window [{t0}, {t1}) has no DFT bin inside "
-            f"[{config.min_cycle_s}, {config.max_cycle_s}] s"
-        )
-    return _select_cycle(
-        t, v, periods, mag, in_band, config,
-        enhanced=enhanced, stop_ends=stop_ends, telemetry=telemetry,
-    )
-
-
-def refine_cycle_by_folding(
-    t: np.ndarray,
-    v: np.ndarray,
-    cycle0_s: float,
-    *,
-    half_width_s: float = 3.0,
-    step_s: float = 0.05,
-    bin_s: float = 4.0,
-    min_cycle_s: float = 10.0,
-) -> float:
-    """Sharpen a coarse cycle estimate by a fine epoch-folding scan.
-
-    Folding a 30-minute window on a period that is off by even 1 s
-    smears the superposed profile by ~18 s and ruins the §VI
-    change-point step; this scan recovers sub-DFT-bin accuracy.
-    Returns the refined period (``cycle0_s`` when the samples cannot
-    discriminate).
-    """
-    t = check_1d("t", t)
-    v = check_1d("v", v)
-    if t.size < 8:
-        return float(cycle0_s)
-    scanner = FoldScanner(t, v, min_cycle_s, np.inf)
-    return scanner.scan(float(cycle0_s), half_width_s, step_s, bin_s)[0]

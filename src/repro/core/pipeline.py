@@ -64,7 +64,8 @@ class PipelineConfig:
     max_sample_dist_m:
         Only reports within this distance of the stop line feed the
         speed signal — upstream free-flow traffic is not modulated by
-        the light and only adds noise.
+        the light and only adds noise.  ``math.inf`` keeps every report
+        (the §VII monitor's rule).
     cycle, red:
         Stage configurations.
     use_enhancement:
@@ -100,7 +101,11 @@ class PipelineConfig:
         check_positive("window_s", self.window_s)
         check_positive("stop_window_s", self.stop_window_s)
         check_positive("phase_window_s", self.phase_window_s)
-        check_positive("max_sample_dist_m", self.max_sample_dist_m)
+        if not self.max_sample_dist_m > 0:  # NaN fails too; +inf is allowed
+            raise ValueError(
+                f"max_sample_dist_m must be positive (or +inf), "
+                f"got {self.max_sample_dist_m!r}"
+            )
 
 
 def measured_mean_interval(partition: LightPartition, default_s: float = 20.14) -> float:
@@ -208,8 +213,8 @@ def identify_many(
 
     ``partitions`` may be a plain dict or a ``PartitionStore``; passing
     the same store across repeated calls (one per time spot) reuses its
-    cached partition views, stop events and report intervals (speed
-    grids depend on the spot and are rebuilt every call).
+    cached stop events and report intervals (speed grids depend on the
+    spot and are rebuilt every call).
 
     Pass a :class:`~repro.obs.report.RunReport` as ``report`` to
     aggregate per-stage wall times, pipeline counters, and the failure

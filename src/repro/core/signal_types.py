@@ -41,16 +41,14 @@ class CycleEstimate:
         Magnitude of the winning bin.
     quality:
         How clearly the window shows the cycle; larger is cleaner.  The
-        candidate-rescoring path (``_select_cycle``, run by the batched
-        backend and the §VII monitor) stores the winner's epoch-folding
-        z-score, which includes ``stop_end_weight`` times the stop-end
-        comb z-score when the caller passes stop ends (the backend
-        does, the monitor does not).  Only when that z-score is not
-        finite does it store the winning DFT peak's magnitude over the
-        median in-band magnitude, which is what
-        :func:`~repro.core.cycle.identify_cycle` always stores.  The two
-        are different scales.  Nothing in ``repro`` weighs estimates by
-        ``quality``: it is only stored and printed.
+        cycle stage (``_select_cycle``, run for identification and for
+        the §VII monitor) stores the winner's epoch-folding z-score,
+        which includes ``stop_end_weight`` times the stop-end comb
+        z-score when the comb is on (identification's default; the
+        monitor runs without it).  Only when that z-score is not finite
+        does it store the winning DFT peak's magnitude over the median
+        in-band magnitude, a different scale.  Nothing in ``repro``
+        weighs estimates by ``quality``: it is only stored and printed.
     n_samples:
         Raw (pre-interpolation) sample count in the window.
     enhanced:

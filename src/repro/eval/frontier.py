@@ -222,17 +222,15 @@ def _changepoint_metrics(
     false_alarms = 0
     lags: List[float] = []
     missed = 0
+    monitored = monitor_cycle(
+        partitions,
+        0.0,
+        spec.horizon_s,
+        every_s=spec.monitor_every_s,
+        window_s=spec.monitor_window_s,
+    )
     for key in sorted(partitions):
-        series = repair_outliers(
-            monitor_cycle(
-                partitions[key],
-                0.0,
-                spec.horizon_s,
-                every_s=spec.monitor_every_s,
-                window_s=spec.monitor_window_s,
-            )
-        )
-        changes = detect_plan_changes(series)
+        changes = detect_plan_changes(repair_outliers(monitored[key]))
         if switch_at_s is None:
             false_alarms += len(changes)
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import pathlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Dict, Tuple, Union
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent
@@ -245,39 +245,38 @@ def _json_float(x: float):
 def compute_monitor_payload(spec: MonitorGoldenScenario, partitions=None) -> Dict:
     """The monitor fixture payload: each light's series and scan counters.
 
-    The series comes from :func:`repro.core.monitor.monitor_cycle`.  The
-    counters come from re-running each of its windows through
-    ``identify_cycle_from_samples`` with a per-light telemetry.
+    The series come from :func:`repro.core.monitor.monitor_cycle`.  The
+    counters come from re-running its windows through
+    :func:`repro.core.batch.identify_cycles` under the monitor's config,
+    summing each light's telemetry.
     """
-    from repro.core.cycle import identify_cycle_from_samples
-    from repro.core.monitor import monitor_cycle
+    from repro.core.batch import identify_cycles
+    from repro.core.monitor import MONITOR_CONFIG, monitor_cycle
     from repro.obs import StageTelemetry
-    from repro.parallel.pool import run_guarded
+    from repro.trace.store import PartitionStore
 
     if partitions is None:
         partitions = build_monitor_partitions(spec)
+    store = PartitionStore.from_partitions(partitions)
+    monitored = monitor_cycle(
+        store, 0.0, spec.horizon_s, every_s=spec.every_s, window_s=spec.window_s
+    )
+    config = replace(MONITOR_CONFIG, window_s=spec.window_s)
+    tels = {key: StageTelemetry() for key in store}
+    for tau in next(iter(monitored.values())).t:
+        _, _, window_tels = identify_cycles(store, float(tau), config=config)
+        for key, tel in window_tels.items():
+            tels[key].merge(tel)
     payload: Dict = {"scenario": asdict(spec), "lights": {}}
-    for (iid, approach) in sorted(partitions):
-        part = partitions[(iid, approach)]
-        series = monitor_cycle(
-            part, 0.0, spec.horizon_s,
-            every_s=spec.every_s, window_s=spec.window_s,
-        )
-        tel = StageTelemetry()
-        for tau in series.t:
-            sub = part.time_window(tau - spec.window_s, tau)
-            run_guarded(
-                identify_cycle_from_samples,
-                sub.trace.t, sub.trace.speed_kmh, tau - spec.window_s, tau,
-                telemetry=tel,
-            )
+    for (iid, approach), series in sorted(monitored.items()):
         payload["lights"][f"{iid}:{approach}"] = {
             "t": [float(x) for x in series.t],
             "cycle_s": [_json_float(x) for x in series.cycle_s],
             "quality": [_json_float(x) for x in series.quality],
             "n_errors": series.n_errors,
             "counters": {
-                name: tel.counters.get(name, 0) for name in SCAN_COUNTERS
+                name: tels[(iid, approach)].counters.get(name, 0)
+                for name in SCAN_COUNTERS
             },
         }
     return payload

@@ -78,7 +78,9 @@ class TestScheduleChangeDetection:
         parts = partition_by_light(match_trace(tr, net), net)
 
         p = parts[(0, "EW")]
-        series = monitor_cycle(p, 0.0, 4 * 3600.0, every_s=300.0, window_s=1800.0)
+        series = monitor_cycle(
+            {p.key: p}, 0.0, 4 * 3600.0, every_s=300.0, window_s=1800.0
+        )[p.key]
         changes = detect_plan_changes(repair_outliers(series))
         assert changes, "plan switch missed"
         best = min(changes, key=lambda c: abs(c.at_time - 2.0 * 3600.0))

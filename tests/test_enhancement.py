@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.cycle import identify_cycle_from_samples
 from repro.core.enhancement import choose_primary, enhance_samples, mirror_speeds
+
+from tests.test_cycle import cycle_from_samples
 
 
 class TestMirror:
@@ -86,6 +87,6 @@ class TestEnhancementHelpsSparse:
         tq, vq = samples(80, False)
         t, v = enhance_samples(tp, vp, tq, vq)
         assert t.size > tp.size
-        est = identify_cycle_from_samples(t, v, t0, t1, enhanced=True)
+        est = cycle_from_samples(t, v, t0, t1, enhanced=True)
         assert est.enhanced
         assert est.cycle_s == pytest.approx(period, abs=2.0)

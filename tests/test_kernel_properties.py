@@ -29,11 +29,16 @@ from repro.core.cycle import (
     FoldScanner,
     _fold_phase,
     fold_zscore,
-    fold_zscore_grid,
     spectrum,
     stop_end_comb_zscore,
 )
 from repro.core.superposition import cycle_profile
+
+
+def fold_zscore_grid(t, v, cycles, bin_s, ends=None, end_weight=0.0):
+    """One-shot :meth:`FoldScanner.scores` with an unbounded band."""
+    scanner = FoldScanner(t, v, 0.0, np.inf, ends=ends, end_weight=end_weight)
+    return scanner.scores(cycles, bin_s)
 
 
 def _scan_fold(

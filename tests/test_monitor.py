@@ -119,7 +119,7 @@ class TestMonitorCycle:
     def test_monitor_on_real_partition(self, partitions, city):
         key = next(iter(sorted(partitions)))
         p = partitions[key]
-        out = monitor_cycle(p, 0.0, 5400.0, every_s=600.0, window_s=1800.0)
+        out = monitor_cycle({key: p}, 0.0, 5400.0, every_s=600.0, window_s=1800.0)[key]
         assert len(out) == len(np.arange(1800.0, 5400.0 + 1e-9, 600.0))
         assert out.valid_fraction() > 0.5
         valid = out.cycle_s[~np.isnan(out.cycle_s)]
@@ -129,7 +129,34 @@ class TestMonitorCycle:
     def test_validation(self, partitions):
         p = next(iter(partitions.values()))
         with pytest.raises(ValueError):
-            monitor_cycle(p, 0.0, 100.0, every_s=0.0)
+            monitor_cycle({p.key: p}, 0.0, 100.0, every_s=0.0)
+
+    @pytest.mark.parametrize("city_name", ["test_city", "golden_monitor"])
+    def test_multi_light_equals_one_light_calls(self, city_name, partitions):
+        # The golden-monitor city has a light that goes dark, so NaN
+        # windows are compared too.
+        if city_name == "golden_monitor":
+            from tests.golden.scenarios import (
+                MONITOR_GOLDEN_SCENARIOS,
+                build_monitor_partitions,
+            )
+
+            spec = MONITOR_GOLDEN_SCENARIOS[0]
+            partitions = build_monitor_partitions(spec)
+            t1 = spec.horizon_s
+        else:
+            t1 = 5400.0
+        together = monitor_cycle(partitions, 0.0, t1, every_s=600.0)
+        assert sorted(together) == sorted(partitions)
+        for key, p in partitions.items():
+            alone = monitor_cycle({key: p}, 0.0, t1, every_s=600.0)[key]
+            for name in ("t", "cycle_s", "quality"):
+                assert getattr(alone, name).tobytes() == getattr(
+                    together[key], name
+                ).tobytes(), (key, name)
+            assert alone.n_errors == together[key].n_errors
+        if city_name == "golden_monitor":
+            assert any(np.isnan(s.cycle_s).any() for s in together.values())
 
 
 class TestHistoricalProfile:
@@ -228,7 +255,9 @@ class TestDriftingSchedules:
         lights = adaptive_synthetic_lights(2, alpha=1.0, kind="gap", seed=3)
         parts = synthetic_partitions(lights, 0.0, 9000.0, seed=3)
         partition = next(iter(parts.values()))
-        ms = monitor_cycle(partition, 1800.0, 9000.0, every_s=300.0, window_s=1800.0)
+        ms = monitor_cycle(
+            {partition.key: partition}, 1800.0, 9000.0, every_s=300.0, window_s=1800.0
+        )[partition.key]
         assert ms.t.size > 0
         assert ms.valid_fraction() > 0.8
         changes = detect_plan_changes(repair_outliers(ms))
@@ -243,7 +272,9 @@ class TestDriftingSchedules:
         lights = adaptive_synthetic_lights(1, alpha=1.0, kind="actuated", seed=9)
         parts = synthetic_partitions(lights, 0.0, 9000.0, seed=9)
         partition = next(iter(parts.values()))
-        ms = monitor_cycle(partition, 0.0, 600.0, every_s=300.0, window_s=1800.0)
+        ms = monitor_cycle(
+            {partition.key: partition}, 0.0, 600.0, every_s=300.0, window_s=1800.0
+        )[partition.key]
         assert ms.t.size == 0
         assert np.isnan(ms.valid_fraction())
         assert repair_outliers(ms).cycle_s.size == 0

@@ -1,9 +1,12 @@
 """Integration tests: the full identification pipeline on the test city."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro._util import circular_diff
+from repro.core.batch import identify_batch, identify_cycles
 from repro.core.pipeline import (
     PipelineConfig,
     identify_light,
@@ -111,6 +114,47 @@ class TestIdentifyMany:
             PipelineConfig(phase_window_s=-5.0)
 
 
+class TestSampleDistanceCut:
+    def test_inf_keeps_every_window_record(self, partitions):
+        key = (0, Approach.NS)
+        at = 5400.0
+        cfg = PipelineConfig(max_sample_dist_m=math.inf, use_enhancement=False)
+        _, _, tels = identify_cycles(partitions, at, config=cfg, keys=[key])
+        window = partitions[key].time_window(at - cfg.window_s, at)
+        assert tels[key].counters["samples_primary"] == len(window)
+        # the default 150 m cut drops some of them, so the check has teeth
+        _, _, cut = identify_cycles(partitions, at, keys=[key])
+        assert cut[key].counters["samples_primary"] < len(window)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, -math.inf])
+    def test_nan_and_nonpositive_raise(self, bad):
+        with pytest.raises(ValueError, match="max_sample_dist_m"):
+            PipelineConfig(max_sample_dist_m=bad)
+
+
+class TestCycleStage:
+    """identify_cycles is the cycle stage identify_batch runs."""
+
+    def test_cycles_equal_identify_batch_cycles(self, partitions):
+        cycles, failures, _ = identify_cycles(partitions, 5400.0)
+        estimates, _, _ = identify_batch(partitions, 5400.0)
+        assert estimates
+        for key, est in estimates.items():
+            assert cycles[key] == est.cycle
+        assert len(cycles) + len(failures) == len(partitions)
+
+    def test_light_failing_after_the_cycle_stage_keeps_its_cycle(self):
+        from tests.golden.scenarios import SPARSE_GOLDEN_SCENARIOS, build_partitions
+
+        parts = build_partitions(SPARSE_GOLDEN_SCENARIOS[0])
+        _, failures, _ = identify_batch(parts, 5400.0)
+        late = [key for key, f in failures.items() if f.stage == "red"]
+        assert late, "the sparse scenario fails some lights at red"
+        cycles, cycle_failures, _ = identify_cycles(parts, 5400.0, keys=late)
+        assert sorted(cycles) == sorted(late)
+        assert not cycle_failures
+
+
 class TestNoSharedDefaultConfig:
     """Regression: ``config=PipelineConfig()`` *in the signature* is one
     shared instance for every call — mutating it (even through
@@ -121,14 +165,14 @@ class TestNoSharedDefaultConfig:
     def test_signature_defaults_are_none(self):
         import inspect
 
-        from repro.core.cycle import identify_cycle, identify_cycle_from_samples
+        from repro.core.batch import identify_batch, identify_cycles
         from repro.eval.harness import evaluate_at_times, simulate_and_partition
 
         for fn, name in [
             (identify_light, "config"),
             (identify_many, "config"),
-            (identify_cycle, "config"),
-            (identify_cycle_from_samples, "config"),
+            (identify_batch, "config"),
+            (identify_cycles, "config"),
             (evaluate_at_times, "config"),
             (simulate_and_partition, "match_config"),
         ]:

@@ -4,8 +4,9 @@ the float64 ingest boundary and appends.
 The parity suite (``test_batch_parity``) exercises the store through
 the identification backends; these tests pin the store's own contract —
 that probing never raises, that quarantined objects round-trip
-untouched, that the per-light derived products (partition views,
-stop events, mean intervals) are computed once between appends, that
+untouched, that the per-light derived products (stop events, mean
+intervals) are computed once between appends while partition views are
+never kept, that
 every float the kernels read is float64 however the records arrived,
 and that appends, which re-derive only what a chunk changed, leave the
 store a one-shot build would.
@@ -14,7 +15,9 @@ store a one-shot build would.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -116,11 +119,6 @@ class TestQuarantine:
 # Per-light cache reuse
 # ----------------------------------------------------------------------
 class TestCacheReuse:
-    def test_partition_view_is_cached(self, small_city):
-        store = PartitionStore.from_partitions(small_city)
-        key = sorted(store)[0]
-        assert store.partition(key) is store.partition(key)
-
     def test_stops_extracted_once_per_light(self, small_city, monkeypatch):
         import repro.core.stops as stops_mod
 
@@ -162,6 +160,18 @@ class TestCacheReuse:
         k0, k1 = sorted(store)[:2]
         assert store.stops(k0) is not store.stops(k1)
         assert store.partition(k0) is not store.partition(k1)
+
+    def test_untouched_caches_release_replaced_columns(self, small_city):
+        # A cached partition view of an untouched light would keep the
+        # column generation it was sliced from alive after an append.
+        store = PartitionStore.from_partitions(small_city)
+        k0, k1 = sorted(store)[:2]
+        store.stops(k0)
+        store.mean_interval(k0)
+        old_t = weakref.ref(store.columns["t"])
+        store.append_partitions({k1: small_city[k1].time_window(0.0, 600.0)})
+        gc.collect()
+        assert old_t() is None
 
     def test_cached_views_match_originals(self, small_city):
         store = PartitionStore.from_partitions(small_city)

@@ -258,14 +258,12 @@ class TestCoherenceAudit:
         key = sorted(first)[0]
         partner = (key[0], "EW" if key[1] == "NS" else "NS")
         # warm both lights' extraction caches
-        store.partition(partner)
         store.stops(partner)
         store.stops(key)
         stream.append({key: second[key]})
         # touched light: its views are gone
         assert key not in store._stops
         # partner: dirty (TestStreamStore), but its extractions survive
-        assert partner in store._partitions
         assert partner in store._stops
 
     def test_session_cache_keys_on_data_version(self, partitions):

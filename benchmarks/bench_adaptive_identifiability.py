@@ -55,8 +55,6 @@ def test_adaptive_identifiability_frontier():
         assert result.degradation_monotone(), (
             f"kind={kind}: cycle error did not grow from alpha=0 to alpha=1"
         )
-        mismatches = sum(p.backend_mismatches for p in result.points)
-        assert mismatches == 0, f"kind={kind}: {mismatches} cross-backend mismatch(es)"
 
         entry = result.to_dict()
         entry["wall_time_s"] = elapsed

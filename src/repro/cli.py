@@ -22,7 +22,7 @@ Four subcommands cover the pipeline end-to-end without writing Python:
   (demand-responsive) signal controllers and print the
   identifiability-frontier curve: cycle-estimate error, changepoint
   false-alarm/miss rates, and monitor lag vs adaptivity (non-zero exit
-  if the fixed-plan anchor or cross-backend parity fails);
+  if the fixed-plan anchor fails);
 * ``repro navigate`` — run the Fig. 16 navigation comparison.
 
 Example session::
@@ -36,6 +36,7 @@ Example session::
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import List, Optional
@@ -58,6 +59,29 @@ def _output_path(path: str) -> str:
         raise argparse.ArgumentTypeError(f"directory {directory!r} is not writable")
     return path
 
+
+def _positive_float(text: str) -> float:
+    """A finite number above zero: a duration, a window or an interval."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive finite number")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """A whole number of at least one: a count or a worker pool size."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     from .core.pipeline import BACKENDS
@@ -71,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a city and write its trace")
     sim.add_argument("--scenario", choices=("small", "shenzhen"), default="small")
-    sim.add_argument("--hours", type=float, default=1.5, help="simulated duration")
+    sim.add_argument("--hours", type=_positive_float, default=1.5,
+                     help="simulated duration")
     sim.add_argument("--seed", type=int, default=7)
     sim.add_argument("--out", required=True, type=_output_path,
                      help="output prefix; writes <out>.trace.txt and <out>.net.json")
@@ -84,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="prefix written by `repro simulate`")
     ident.add_argument("--at", type=float, required=True,
                        help="identification time (simulation seconds)")
-    ident.add_argument("--window", type=float, default=1800.0,
+    ident.add_argument("--window", type=_positive_float, default=1800.0,
                        help="analysis window length, seconds")
     ident.add_argument("--backend", choices=BACKENDS, default="batched",
                        help="execution backend: 'batched' (default) runs "
@@ -93,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "'shard' fans the batched kernels out over a "
                             "process pool via a zero-copy mmap-backed "
                             "column store")
-    ident.add_argument("--workers", type=int, default=None,
+    ident.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes for the shard backend "
                             "(default: available CPUs, capped at 8)")
     ident.add_argument("--report", metavar="PATH", default=None, type=_output_path,
@@ -107,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="identification time spots (simulation seconds)")
     ev.add_argument("--backend", choices=BACKENDS, default="batched",
                     help="execution backend (see `repro identify`)")
-    ev.add_argument("--workers", type=int, default=None,
+    ev.add_argument("--workers", type=_positive_int, default=None,
                     help="worker processes for the shard backend")
     ev.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                     help="write the RunReport JSON aggregated over all "
@@ -117,25 +142,18 @@ def build_parser() -> argparse.ArgumentParser:
     mon.add_argument("--city", required=True)
     mon.add_argument("--light", required=True,
                      help="intersection:approach, e.g. 0:NS")
-    mon.add_argument("--every", type=float, default=300.0)
-    mon.add_argument("--window", type=float, default=1800.0)
+    mon.add_argument("--every", type=_positive_float, default=300.0)
+    mon.add_argument("--window", type=_positive_float, default=1800.0)
 
     strm = sub.add_parser(
         "stream", help="replay a trace through the incremental backend"
     )
     strm.add_argument("--city", required=True,
                       help="prefix written by `repro simulate`")
-    strm.add_argument("--chunk", type=float, default=300.0,
+    strm.add_argument("--chunk", type=_positive_float, default=300.0,
                       help="replay chunk length, seconds")
-    strm.add_argument("--window", type=float, default=1800.0,
+    strm.add_argument("--window", type=_positive_float, default=1800.0,
                       help="analysis window length, seconds")
-    strm.add_argument("--backend", choices=("batched", "shard"),
-                      default="batched",
-                      help="how stale lights are re-identified per chunk: "
-                           "in-process batched kernels (default) or the "
-                           "zero-copy sharded process fan-out")
-    strm.add_argument("--workers", type=int, default=None,
-                      help="worker processes for the shard backend")
     strm.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                       help="write the RunReport JSON (incl. per-chunk "
                            "ingest stats) to PATH")
@@ -144,15 +162,15 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-bench",
         help="latency-SLO load run of the multi-tenant serving layer",
     )
-    srv.add_argument("--tenants", type=int, default=8,
+    srv.add_argument("--tenants", type=_positive_int, default=8,
                      help="concurrent city tenants")
-    srv.add_argument("--chunks", type=int, default=24,
+    srv.add_argument("--chunks", type=_positive_int, default=24,
                      help="replay chunks per tenant")
     srv.add_argument("--intersections", type=int, default=4,
                      help="intersections per tenant (2 lights each)")
-    srv.add_argument("--evaluates-per-chunk", type=int, default=6,
+    srv.add_argument("--evaluates-per-chunk", type=_positive_int, default=6,
                      help="SLO-timed advisory queries per published version")
-    srv.add_argument("--queue-depth", type=int, default=8,
+    srv.add_argument("--queue-depth", type=_positive_int, default=8,
                      help="bounded ingest queue capacity per tenant")
     srv.add_argument("--seed", type=int, default=7)
     srv.add_argument("--p50-slo-ms", type=float, default=5.0,
@@ -174,21 +192,18 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--alphas", type=float, nargs="+", default=None,
                     help="responsiveness sweep, each in [0, 1] "
                          "(0 = fixed plan, 1 = fully demand-driven)")
-    fr.add_argument("--intersections", type=int, default=4,
+    fr.add_argument("--intersections", type=_positive_int, default=4,
                     help="intersections in the synthetic city (2 lights each)")
-    fr.add_argument("--horizon", type=float, default=9000.0,
+    fr.add_argument("--horizon", type=_positive_float, default=9000.0,
                     help="trace horizon, seconds")
     fr.add_argument("--seed", type=int, default=0)
-    fr.add_argument("--backends", nargs="+", default=None,
-                    choices=BACKENDS,
-                    help="identification backends to cross-check bit-for-bit")
     fr.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                     help="write the frontier curve as JSON to PATH")
 
     nav = sub.add_parser("navigate", help="Fig. 16 navigation comparison")
     nav.add_argument("--cols", type=int, default=6)
     nav.add_argument("--rows", type=int, default=6)
-    nav.add_argument("--trips", type=int, default=12)
+    nav.add_argument("--trips", type=_positive_int, default=12)
     nav.add_argument("--seed", type=int, default=7)
     return parser
 
@@ -395,8 +410,7 @@ def _cmd_stream(args) -> int:
 
     report = RunReport() if args.report else None
     session = StreamSession(
-        config=PipelineConfig(window_s=args.window), report=report,
-        backend=args.backend, max_workers=args.workers,
+        config=PipelineConfig(window_s=args.window), report=report
     )
     for chunk in split_by_time(partitions, edges):
         update = session.ingest(chunk)
@@ -486,8 +500,6 @@ def _cmd_frontier(args) -> int:
     kwargs = {}
     if args.alphas:
         kwargs["alphas"] = tuple(args.alphas)
-    if args.backends:
-        kwargs["backends"] = tuple(args.backends)
     spec = FrontierSpec(
         kind=args.kind,
         n_intersections=args.intersections,
@@ -506,14 +518,9 @@ def _cmd_frontier(args) -> int:
             fh.write(result.to_json())
         print(f"wrote {args.json}")
 
-    failed = []
     if result.fixed_plan_bitwise_match is False:
-        failed.append("alpha=0 diverged bit-for-bit from the fixed-plan pipeline")
-    mismatches = sum(p.backend_mismatches for p in result.points)
-    if mismatches:
-        failed.append(f"{mismatches} cross-backend mismatch(es)")
-    if failed:
-        print("FRONTIER FAILED: " + "; ".join(failed))
+        print("FRONTIER FAILED: alpha=0 diverged bit-for-bit from the "
+              "fixed-plan pipeline")
         return 1
     return 0
 

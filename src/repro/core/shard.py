@@ -3,13 +3,16 @@
 :func:`repro.core.batch.identify_batch` already runs the whole city
 through shared vectorized kernels; what keeps multi-process execution
 from scaling is the boundary cost — pickling the full column store
-into every worker keeps wall-clock core-count independent.  This module shards the batched backend by light partition
-and moves the columns across the boundary through the filesystem page
-cache instead of pickles:
+into every worker keeps wall-clock core-count independent.  This
+module shards the batched backend by light partition and moves the
+columns across the boundary through the filesystem page cache instead
+of pickles.  It is the one place that does: ``identify_many``'s
+``shard`` backend is its only caller, and live refreshes always run
+batched.
 
-1. the store spills its columns once to mmap-able ``.npy`` files
-   (:meth:`~repro.trace.store.PartitionStore.spilled`, built on
-   ``spill_to``);
+1. for the length of the call the store spills its columns to
+   mmap-able ``.npy`` files in a fresh temporary directory (the
+   store's private ``_spilled`` window, which removes them on exit);
 2. ``pmap(common=store)`` then ships only a lightweight handle —
    metadata plus file paths — and ``common_bytes_limit`` enforces that
    zero column bytes ride in the per-worker pickle;
@@ -54,6 +57,10 @@ __all__ = ["balanced_shards", "identify_shard"]
 #: are never columnar), so a regular city stays far below this; a limit
 #: trip means column bytes leaked back into the per-worker pickle.
 _HANDLE_BYTES_CEILING = 1 << 20
+
+#: Shards per worker: over-decomposing the fan-out lets stragglers
+#: rebalance.
+_SHARDS_PER_WORKER = 2
 
 #: One shard result: (shard index, estimates, failures, per-light
 #: telemetry, shard-level telemetry carrying the worker wall time).
@@ -122,29 +129,24 @@ def identify_shard(
     at_time: float,
     *,
     config: Optional[PipelineConfig] = None,
-    keys: Optional[Sequence[LightKey]] = None,
     max_workers: Optional[int] = None,
-    shards_per_worker: int = 2,
-    mmap_dir: Optional[str] = None,
 ) -> Tuple[
     Dict[LightKey, ScheduleEstimate],
     Dict[LightKey, LightFailure],
     Dict[LightKey, StageTelemetry],
     List[ShardStats],
 ]:
-    """Identify ``keys`` (default: every light) via balanced zero-copy shards.
+    """Identify every light via balanced zero-copy shards.
 
     Returns ``(estimates, failures, telemetries, shard_stats)`` where
     the first three match :func:`repro.core.batch.identify_batch` over
-    the same keys **bit-for-bit**, and ``shard_stats`` carries one
+    the same lights **bit-for-bit**, and ``shard_stats`` carries one
     :class:`~repro.obs.report.ShardStats` per dispatched shard.
 
     ``partitions`` may be a plain mapping or a
-    :class:`~repro.trace.store.PartitionStore`.  An in-memory store is
-    spilled for the duration of the call (to ``mmap_dir``, or a
-    temporary directory that is removed afterwards) and restored on
-    exit; an already-spilled store is used as-is.  ``shards_per_worker``
-    over-decomposes the fan-out so stragglers rebalance.
+    :class:`~repro.trace.store.PartitionStore`.  The store is spilled to
+    a temporary directory for the duration of the call; on exit its
+    in-memory columns are back and the directory is gone.
 
     Fault containment matches the other backends at both granularities:
     per-light failures come back typed from inside ``identify_batch``,
@@ -157,7 +159,7 @@ def identify_shard(
         if isinstance(partitions, PartitionStore)
         else PartitionStore.from_partitions(partitions)
     )
-    wanted = sorted(store) if keys is None else sorted(keys)
+    wanted = sorted(store)
     estimates: Dict[LightKey, ScheduleEstimate] = {}
     failures: Dict[LightKey, LightFailure] = {}
     tels: Dict[LightKey, StageTelemetry] = {}
@@ -165,9 +167,9 @@ def identify_shard(
     if not wanted:
         return estimates, failures, tels, stats
     workers = default_workers(max_workers)
-    with store.spilled(mmap_dir):
+    with store._spilled():
         handle_bytes = payload_nbytes(store)
-        shards = balanced_shards(store, wanted, workers * shards_per_worker)
+        shards = balanced_shards(store, wanted, workers * _SHARDS_PER_WORKER)
         jobs: List[_ShardJob] = [
             (i, shard, at_time, config) for i, shard in enumerate(shards)
         ]

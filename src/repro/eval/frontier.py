@@ -17,9 +17,10 @@ pipeline on each generated city, producing one frontier point per
 * **changepoint miss rate and lag** — on a twin city with a programmed
   plan switch under adaptation, the fraction of lights whose switch is
   never detected within ``detect_window_s`` and the mean detection lag
-  of the hits;
-* **cross-backend agreement** — every configured backend must return
-  bit-identical estimates (mismatch count per point).
+  of the hits.
+
+Identification runs batched; backend parity on these cities is pinned
+in ``tests/test_batch_parity.py``.
 
 The ``alpha = 0`` point doubles as a regression anchor: its partitions
 and estimates are compared bit-for-bit against the pre-existing
@@ -36,7 +37,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from ..core.monitor import detect_plan_changes, monitor_cycle, repair_outliers
-from ..core.pipeline import BACKENDS, identify_many
+from ..core.pipeline import identify_many
 from ..core.signal_types import ScheduleEstimate
 from ..matching.partition import LightKey, LightPartition
 from ..obs.report import LightFailure
@@ -62,7 +63,6 @@ class FrontierSpec:
     n_intersections: int = 4
     horizon_s: float = 9000.0
     seed: int = 0
-    backends: Tuple[str, ...] = ("batched",)
     rate_per_hour: float = 240.0
     eval_start_s: float = 3600.0
     eval_every_s: float = 1800.0
@@ -77,11 +77,6 @@ class FrontierSpec:
         for a in self.alphas:
             if not 0.0 <= a <= 1.0:
                 raise ValueError(f"alpha must be in [0, 1], got {a}")
-        for b in self.backends:
-            if b not in BACKENDS:
-                raise ValueError(f"unknown backend {b!r}; expected one of {BACKENDS}")
-        if not self.backends:
-            raise ValueError("backends must be non-empty")
         if self.n_intersections < 1:
             raise ValueError("n_intersections must be >= 1")
         if not 0.0 < self.eval_start_s <= self.horizon_s:
@@ -111,7 +106,6 @@ class FrontierPoint:
     cycle_p90_s: float
     n_estimates: int
     n_failures: int
-    backend_mismatches: int
     false_alarms: int
     false_alarms_per_light_hour: float
     miss_rate: float
@@ -150,17 +144,16 @@ class FrontierResult:
         """Human-readable frontier table."""
         lines = [
             f"identifiability frontier — kind={self.spec.kind} "
-            f"intersections={self.spec.n_intersections} seed={self.spec.seed} "
-            f"backends={list(self.spec.backends)}",
+            f"intersections={self.spec.n_intersections} seed={self.spec.seed}",
             f"{'alpha':>6} {'cycMAE':>8} {'cycP90':>8} {'ok':>5} {'fail':>5} "
-            f"{'FA/lh':>7} {'miss%':>6} {'lag_s':>7} {'bkdiff':>6}",
+            f"{'FA/lh':>7} {'miss%':>6} {'lag_s':>7}",
         ]
         for p in sorted(self.points, key=lambda q: q.alpha):
             lines.append(
                 f"{p.alpha:>6.2f} {p.cycle_mae_s:>8.2f} {p.cycle_p90_s:>8.2f} "
                 f"{p.n_estimates:>5d} {p.n_failures:>5d} "
                 f"{p.false_alarms_per_light_hour:>7.3f} {100.0 * p.miss_rate:>6.1f} "
-                f"{p.mean_lag_s:>7.1f} {p.backend_mismatches:>6d}"
+                f"{p.mean_lag_s:>7.1f}"
             )
         anchor = self.fixed_plan_bitwise_match
         if anchor is not None:
@@ -264,27 +257,17 @@ def _run_point(spec: FrontierSpec, alpha: float) -> Tuple[FrontierPoint, Optiona
     abs_errors: List[float] = []
     n_estimates = 0
     n_failures = 0
-    mismatches = 0
     snapshots: List[Tuple[float, Dict[LightKey, _EstTuple], Tuple[LightKey, ...]]] = []
     for at in times:
-        reference: Optional[Tuple[Dict[LightKey, _EstTuple], Tuple[LightKey, ...]]] = None
-        for backend in spec.backends:
-            estimates, failures = identify_many(
-                partitions, at, backend=backend, store=store
-            )
-            current = _estimate_map(estimates, failures)
-            if reference is None:
-                reference = current
-                n_estimates += len(estimates)
-                n_failures += len(failures)
-                for key, est in estimates.items():
-                    true_cycle = truth[key].true_schedule(at).cycle_s
-                    abs_errors.append(abs(est.schedule.cycle_s - true_cycle))
-            elif current != reference:
-                mismatches += 1
-        assert reference is not None
+        estimates, failures = identify_many(partitions, at, store=store)
+        n_estimates += len(estimates)
+        n_failures += len(failures)
+        for key, est in estimates.items():
+            true_cycle = truth[key].true_schedule(at).cycle_s
+            abs_errors.append(abs(est.schedule.cycle_s - true_cycle))
         if alpha == 0.0:
-            snapshots.append((at, reference[0], reference[1]))
+            est_map, failed_keys = _estimate_map(estimates, failures)
+            snapshots.append((at, est_map, failed_keys))
 
     false_alarms, _, _ = _changepoint_metrics(partitions, spec, switch_at_s=None)
     light_hours = len(partitions) * max(spec.horizon_s - spec.monitor_window_s, 0.0) / 3600.0
@@ -309,7 +292,6 @@ def _run_point(spec: FrontierSpec, alpha: float) -> Tuple[FrontierPoint, Optiona
         cycle_p90_s=float(np.percentile(abs_errors, 90.0)) if abs_errors else float("nan"),
         n_estimates=n_estimates,
         n_failures=n_failures,
-        backend_mismatches=mismatches,
         false_alarms=false_alarms,
         false_alarms_per_light_hour=false_alarms / light_hours if light_hours > 0 else 0.0,
         miss_rate=miss_rate,
@@ -341,11 +323,8 @@ def _fixed_plan_anchor(
     if not _partitions_bitwise_equal(adaptive_partitions, fixed_partitions):
         return False
     store = PartitionStore.from_partitions(fixed_partitions)
-    backend = spec.backends[0]
     for at, est_map, failed_keys in snapshots:
-        estimates, failures = identify_many(
-            fixed_partitions, at, backend=backend, store=store
-        )
+        estimates, failures = identify_many(fixed_partitions, at, store=store)
         if _estimate_map(estimates, failures) != (est_map, failed_keys):
             return False
     return True

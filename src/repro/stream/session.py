@@ -8,7 +8,10 @@ go in through :meth:`StreamSession.ingest`, estimates come out as
   invalidation over the columnar :class:`~repro.trace.store.PartitionStore`);
 * a per-light **result cache** ``(data version, at_time) -> estimate``,
   so a refresh re-runs :func:`repro.core.batch.identify_batch` only for
-  the lights the chunk dirtied;
+  the lights the chunk dirtied.  Refreshes always run batched
+  in-process: a chunk dirties a small slice of a city, where a process
+  fan-out costs more than it saves (EXPERIMENTS.md, "Live refresh:
+  batched vs shard");
 * an **online monitor**: every refresh appends one ``(t, cycle_s,
   quality)`` sample per refreshed light, and
   :func:`repro.core.monitor.detect_plan_changes` (after
@@ -34,7 +37,7 @@ A cache entry always describes the data version its estimate was
 computed *from*: ``_refresh`` captures each light's version before the
 kernels run and stamps the entry with that captured value.  If an
 append lands while a refresh is in flight (the serving layer's writer
-racing an executor-offloaded shard refresh, say), the refreshed entry
+racing an executor-offloaded refresh, say), the refreshed entry
 simply stays stale and the next :meth:`evaluate` re-identifies it —
 stale-but-consistent beats fresh-but-torn.  ``tests/test_stream.py``
 (``test_version_bump_during_refresh_keeps_entry_stale``) pins the
@@ -110,18 +113,7 @@ class StreamSession:
     report:
         Optional :class:`~repro.obs.report.RunReport`; per-chunk
         :class:`~repro.obs.report.ChunkStats` and per-light telemetry
-        fold into it (plus per-shard
-        :class:`~repro.obs.report.ShardStats` under the shard backend).
-    backend:
-        How stale lights are re-identified: ``"batched"`` (default)
-        runs :func:`repro.core.batch.identify_batch` in-process;
-        ``"shard"`` fans the stale set out over
-        :func:`repro.core.shard.identify_shard` — bit-for-bit the same
-        estimates, worthwhile when refreshes dirty large slices of a
-        large city (each refresh spills/restores the column store, so
-        tiny dirty sets are better served batched).
-    max_workers:
-        Worker processes for the shard backend (default: CPU count).
+        fold into it.
     """
 
     def __init__(
@@ -131,19 +123,11 @@ class StreamSession:
         store: Optional[Mapping[LightKey, LightPartition]] = None,
         monitor: bool = True,
         report: Optional[RunReport] = None,
-        backend: str = "batched",
-        max_workers: Optional[int] = None,
     ) -> None:
-        if backend not in ("batched", "shard"):
-            raise ValueError(
-                f"session backend must be 'batched' or 'shard', got {backend!r}"
-            )
         self.config = PipelineConfig() if config is None else config
         self.stream = StreamStore(store)
         self.monitor = monitor
         self.report = report
-        self.backend = backend
-        self.max_workers = max_workers
         self._chunk_index = 0
         self._last_at_time: Optional[float] = None
         self._results: Dict[LightKey, _CacheEntry] = {}
@@ -235,9 +219,9 @@ class StreamSession:
     ) -> FrozenSet[LightKey]:
         """Re-identify stale lights; returns the set actually re-run.
 
-        Both backends evaluate the stale subset through the same
-        row-wise-exact kernels, so the session's replay-parity contract
-        is backend-independent.
+        The stale subset runs through the same row-wise-exact kernels as
+        the one-shot backends, which is what the replay-parity contract
+        rests on.
         """
         from ..core.batch import identify_batch
 
@@ -247,26 +231,14 @@ class StreamSession:
         # Snapshot-isolation invariant: every cache entry is stamped
         # with the data version captured *before* identification runs,
         # never the version read afterwards.  A version bump that lands
-        # while the kernels run (a concurrent ingest under repro.serve,
-        # or an executor-offloaded shard refresh) therefore leaves the
-        # entry stale — the next evaluate re-identifies it — instead of
-        # publishing estimates computed from the old rows under the new
-        # version (a mixed-version read).
+        # while the kernels run (a concurrent ingest under repro.serve)
+        # therefore leaves the entry stale — the next evaluate
+        # re-identifies it — instead of publishing estimates computed
+        # from the old rows under the new version (a mixed-version read).
         versions = {key: self.stream.version(key) for key in stale}
-        if self.backend == "shard":
-            from ..core.shard import identify_shard
-
-            b_est, b_fail, tels, shard_stats = identify_shard(
-                self.store, at_time, config=self.config, keys=stale,
-                max_workers=self.max_workers,
-            )
-            if self.report is not None:
-                for stats in shard_stats:
-                    self.report.record_shard(stats)
-        else:
-            b_est, b_fail, tels = identify_batch(
-                self.store, at_time, config=self.config, keys=stale
-            )
+        b_est, b_fail, tels = identify_batch(
+            self.store, at_time, config=self.config, keys=stale
+        )
         for key in stale:
             self._results[key] = (
                 versions[key],

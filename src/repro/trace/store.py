@@ -20,10 +20,10 @@ Nothing per-window is cached: the regularized speed grid depends on the
 spot, so an ``evaluate_at_times`` sweep would never reuse one.
 
 The store also travels cheaply across process boundaries: pickling
-ships the columns once per worker (via ``pmap(..., common=...)``), and
-with ``mmap_dir`` set the columns are spilled to ``.npy`` files so
-workers re-open them memory-mapped and the pickle payload shrinks to
-the file paths.
+ships the columns once per worker (via ``pmap(..., common=...)``).
+Inside :func:`repro.core.shard.identify_shard` the columns are spilled
+to ``.npy`` files for the call, so workers re-open them memory-mapped
+and the pickle payload shrinks to the file paths.
 
 Extraction semantics are bit-identical to the per-partition code paths
 (the parity suite ``tests/test_batch_parity.py`` holds them together).
@@ -98,7 +98,6 @@ class PartitionStore:
         columns: Dict[str, np.ndarray],
         *,
         irregular: Optional[Dict[LightKey, Any]] = None,
-        mmap_dir: Optional[str] = None,
     ) -> None:
         self._regular_keys: List[LightKey] = [
             (int(iid), str(app)) for iid, app in keys
@@ -117,7 +116,8 @@ class PartitionStore:
         # columnar without corrupting their neighbours' row ranges; they
         # ride along as-is and are read through pass-through views.
         self._irregular: Dict[LightKey, Any] = dict(irregular or {})
-        self._mmap_dir = mmap_dir
+        # Set only inside identify_shard's spill window (see _spilled).
+        self._mmap_dir: Optional[str] = None
         self._init_derived()
 
     def _init_derived(self) -> None:
@@ -164,18 +164,13 @@ class PartitionStore:
     # ------------------------------------------------------------------
     @classmethod
     def from_partitions(
-        cls,
-        partitions: "Mapping[LightKey, LightPartition]",
-        *,
-        mmap_dir: Optional[str] = None,
+        cls, partitions: "Mapping[LightKey, LightPartition]"
     ) -> "PartitionStore":
         """Flatten a partition mapping into one columnar store.
 
         ``partitions`` maps :data:`LightKey` to
         :class:`~repro.matching.partition.LightPartition` (a store is
-        returned unchanged).  With ``mmap_dir`` the columns are written
-        as ``.npy`` files there and re-opened memory-mapped, so worker
-        processes share pages instead of copies.
+        returned unchanged).
         """
         if isinstance(partitions, cls):
             return partitions
@@ -193,10 +188,7 @@ class PartitionStore:
         columns: Dict[str, np.ndarray] = {
             name: _concat([cols[name] for cols in per_key]) for name in _ALL_COLUMNS
         }
-        store = cls(keys, offsets, columns, irregular=irregular)
-        if mmap_dir is not None:
-            store.spill_to(mmap_dir)
-        return store
+        return cls(keys, offsets, columns, irregular=irregular)
 
     def append_partitions(
         self, chunk: "Mapping[LightKey, LightPartition]"
@@ -220,9 +212,7 @@ class PartitionStore:
         * an irregular chunk (inconsistent column lengths) quarantines
           its light onto the pass-through views, exactly like an
           irregular partition at build time; healthy lights are
-          unaffected;
-        * a store spilled to ``mmap_dir`` is pulled back in-memory (the
-          on-disk columns no longer match).
+          unaffected.
         """
         touched: Set[LightKey] = set()
         demoted: Set[LightKey] = set()
@@ -327,15 +317,9 @@ class PartitionStore:
             for name in _ALL_COLUMNS:
                 pieces[name].append(np.asarray(cols_k[name]))
         flush_run()
-        previous_dir = self._mmap_dir
         self._regular_keys = list(new_keys)
         self._offsets = offsets
         self._columns = {name: _concat(pieces[name]) for name in _ALL_COLUMNS}
-        self._mmap_dir = None
-        if previous_dir is not None:
-            # the on-disk columns no longer match the spliced rows;
-            # leaving them behind would let a later reload serve stale data
-            _remove_column_files(previous_dir)
 
     def invalidate_light(self, key: LightKey) -> None:
         """Drop one light's cached state, leaving every other light's intact.
@@ -347,70 +331,32 @@ class PartitionStore:
         self._stale_stops.pop(key, None)
         self._intervals.pop(key, None)
 
-    def spill_to(self, mmap_dir: str) -> None:
-        """Write the columns to ``mmap_dir`` and re-open them mapped.
-
-        After this, pickling the store ships only metadata + file paths
-        and every process re-opens the same pages read-only.
-
-        Idempotent: re-spilling to the directory already backing the
-        store is a no-op, and spilling an already-spilled store to a
-        *different* directory rewrites the columns there and deletes the
-        old directory's column files — ``_mmap_dir`` never points at
-        stale state and no orphaned ``.npy`` files accumulate.
-        """
-        mmap_dir = os.path.abspath(mmap_dir)
-        previous = self._mmap_dir
-        if previous == mmap_dir:
-            return
-        os.makedirs(mmap_dir, exist_ok=True)
-        # `columns` (not `_columns`): an already-spilled store may have
-        # lazily dropped its arrays, and the property reloads them.
-        for name, col in self.columns.items():
-            np.save(os.path.join(mmap_dir, f"{name}.npy"), col)
-        # reload lazily, memory-mapped; both backings hold the same
-        # rows, so no derived cache needs invalidating
-        self._columns = None
-        self._mmap_dir = mmap_dir
-        if previous is not None:
-            _remove_column_files(previous)
-
     @contextmanager
-    def spilled(self, mmap_dir: Optional[str] = None) -> Iterator["PartitionStore"]:
-        """Temporarily back the columns with on-disk ``.npy`` maps.
+    def _spilled(self) -> Iterator["PartitionStore"]:
+        """Back the columns with ``.npy`` maps in a fresh temp directory.
 
-        Spills to *mmap_dir* (default: a fresh temporary directory) and
-        yields the store itself — which now pickles as a lightweight
-        handle (metadata + file paths, zero column bytes), the seam the
-        sharded backend fans out over.  On exit the original in-memory
-        arrays are swapped back and the spill files are removed (the
-        whole temporary directory when this call created it).
-
-        A store that was already spilled is yielded as-is and left
-        spilled — its caller owns the lifecycle.  The restore is also
-        skipped when the backing changed underneath (e.g. an
-        :meth:`append_partitions` inside the context pulled the store
-        back in-memory): the fresher rows win over the snapshot.
+        The sharded backend's spill window; only
+        :func:`repro.core.shard.identify_shard` opens it.  Inside, the
+        store pickles as a metadata handle (keys, offsets, the directory;
+        zero column bytes) and every process that loads it re-opens the
+        same pages read-only.  On exit, on error too, the in-memory
+        arrays come back and the directory is removed, a half-written
+        one included.
         """
-        if self._mmap_dir is not None:
-            yield self
-            return
-        original = self._columns
-        own_dir = mmap_dir is None
-        target = tempfile.mkdtemp(prefix="repro-store-") if own_dir else mmap_dir
-        assert target is not None
-        self.spill_to(target)
-        token = self._mmap_dir  # the normalized path spill_to recorded
+        columns = self.columns
+        spill_dir = tempfile.mkdtemp(prefix="repro-store-")
         try:
+            for name, col in columns.items():
+                np.save(os.path.join(spill_dir, f"{name}.npy"), col)
+            # reload lazily, memory-mapped; both backings hold the same
+            # rows, so no derived cache needs invalidating
+            self._columns = None
+            self._mmap_dir = spill_dir
             yield self
         finally:
-            if self._mmap_dir == token and original is not None:
-                self._columns = original
-                self._mmap_dir = None
-                if own_dir:
-                    shutil.rmtree(token, ignore_errors=True)
-                else:
-                    _remove_column_files(token)
+            self._columns = columns
+            self._mmap_dir = None
+            shutil.rmtree(spill_dir, ignore_errors=True)
 
     @property
     def columns(self) -> Dict[str, np.ndarray]:
@@ -643,19 +589,6 @@ def _is_regular(partition: "LightPartition") -> bool:
     fails is quarantined onto the pass-through views rather than trusted.
     """
     return run_guarded(_probe_regular, partition) is True
-
-
-def _remove_column_files(mmap_dir: str) -> None:
-    """Best-effort removal of a directory's spilled column files.
-
-    Only the store's own ``<column>.npy`` files are touched — the
-    directory itself may be caller-owned and is left in place.
-    """
-    for name in _ALL_COLUMNS:
-        try:
-            os.unlink(os.path.join(mmap_dir, f"{name}.npy"))
-        except OSError:
-            pass  # already gone, or the directory vanished with it
 
 
 def _in_sorted(values: np.ndarray, ids: np.ndarray) -> np.ndarray:

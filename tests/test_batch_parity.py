@@ -88,8 +88,9 @@ class TestBackendParity:
         from_store = identify_many(store, 5400.0, backend="shard", max_workers=1)
         _assert_parity(from_dict, from_store, "store-backed shard")
 
-    @pytest.mark.slow
     def test_shard_pool_matches_serial(self, partitions):
+        """A real two-process pool: spill, pickled handle, worker
+        re-attach.  Fast tier, so CI's blocking job runs that path."""
         ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w")
@@ -177,12 +178,13 @@ class TestStoreReuse:
 
 
 @pytest.fixture(scope="module")
-def adaptive_city():
-    """Demand-responsive synthetic city (gap controllers, alpha=0.6) —
-    the scenario the frontier eval sweeps, pinned here at one point."""
+def adaptive_city(request):
+    """Demand-responsive synthetic city (gap controllers, alpha=0.6 unless
+    a test parametrizes it) — the scenario the frontier eval sweeps."""
     from repro.scenario import adaptive_synthetic_lights, synthetic_partitions
 
-    lights = adaptive_synthetic_lights(3, alpha=0.6, kind="gap", seed=5)
+    alpha = getattr(request, "param", 0.6)
+    lights = adaptive_synthetic_lights(3, alpha=alpha, kind="gap", seed=5)
     return synthetic_partitions(lights, 0.0, 5400.0, seed=5)
 
 
@@ -191,7 +193,12 @@ class TestAdaptiveTraceParity:
     kernels see ordinary columns, so demand-responsive data is no excuse
     for divergence."""
 
+    @pytest.mark.parametrize(
+        "adaptive_city", [0.0, 0.6, 1.0], indirect=True, ids=str
+    )
     def test_batched_matches_serial_bitwise(self, adaptive_city):
+        """The fixed-plan end, the middle and the fully demand-driven end
+        of the frontier's responsiveness sweep."""
         ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="batched")
         assert len(ref[0]) > 0, "adaptive city must identify some lights"

@@ -2,8 +2,8 @@
 
 A tiny two-point sweep (the same claims the slow bench pins at full
 scale): the ``alpha = 0`` endpoint must match the fixed-plan pipeline
-bit-for-bit, the ``alpha = 1`` endpoint must be measurably worse, and
-every configured backend must agree bitwise along the way.
+bit-for-bit and the ``alpha = 1`` endpoint must be measurably worse.
+Backend parity on these cities lives in ``tests/test_batch_parity.py``.
 """
 
 import json
@@ -34,7 +34,7 @@ TINY = dict(
 
 @pytest.fixture(scope="module")
 def tiny_result():
-    spec = FrontierSpec(backends=("batched", "serial"), **TINY)
+    spec = FrontierSpec(**TINY)
     return run_frontier(spec)
 
 
@@ -48,9 +48,6 @@ class TestFrontierSweep:
         pts = sorted(tiny_result.points, key=lambda p: p.alpha)
         assert pts[0].alpha == 0.0 and pts[-1].alpha == 1.0
         assert pts[-1].cycle_mae_s > pts[0].cycle_mae_s
-
-    def test_backends_agree_bitwise(self, tiny_result):
-        assert sum(p.backend_mismatches for p in tiny_result.points) == 0
 
     def test_points_are_populated(self, tiny_result):
         for p in tiny_result.points:
@@ -112,10 +109,6 @@ class TestFrontierSpecValidation:
         with pytest.raises(ValueError, match="alphas"):
             FrontierSpec(alphas=())
 
-    def test_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            FrontierSpec(backends=("warp",))
-
     def test_rejects_bad_geometry_and_windows(self):
         with pytest.raises(ValueError, match="n_intersections"):
             FrontierSpec(n_intersections=0)
@@ -146,7 +139,7 @@ def test_frontier_point_fields_serialize():
     """FrontierPoint/FrontierResult stay plain-JSON representable."""
     p = FrontierPoint(
         alpha=0.5, cycle_mae_s=1.0, cycle_p90_s=2.0, n_estimates=4,
-        n_failures=0, backend_mismatches=0, false_alarms=1,
+        n_failures=0, false_alarms=1,
         false_alarms_per_light_hour=0.25, miss_rate=0.0, mean_lag_s=150.0,
         n_lights=4,
     )

@@ -132,7 +132,7 @@ class TestCommonBytesLimit:
         assert payload_nbytes(store) > limit, "fixture city should out-size the limit"
         with pytest.raises(ValueError, match="spill"):
             pmap(plus_one, [1, 2], serial=True, common=store, common_bytes_limit=limit)
-        with store.spilled():
+        with store._spilled():
             assert payload_nbytes(store) < limit
             out = pmap(
                 plus_one, [1, 2], serial=True, common=store,

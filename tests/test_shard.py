@@ -1,25 +1,23 @@
 """Zero-copy sharded backend: parity, balance, fallback, telemetry.
 
 The shard backend's contract mirrors the batched one it decomposes:
-bit-for-bit estimate parity on any key subset, typed per-light failure
+bit-for-bit estimate parity on any sub-city, typed per-light failure
 containment, plus two claims of its own — zero column bytes shipped per
 worker (the store crosses the pool boundary as a metadata handle) and
 row-count-balanced shards.  Everything here runs ``max_workers=1`` (the
-in-process dispatch path, same semantics); real pools are exercised in
-``tests/test_batch_parity.py``'s slow tier.
+in-process dispatch path, same semantics); a real two-process pool runs
+in ``tests/test_batch_parity.py::TestBackendParity::test_shard_pool_matches_serial``.
 """
 
 import json
 
 import numpy as np
-import pytest
 
 import repro.core.shard as shard_mod
 from repro.core import identify_many
 from repro.core.batch import identify_batch
 from repro.core.shard import balanced_shards, identify_shard
 from repro.obs import RunReport, ShardStats
-from repro.stream import StreamSession
 from repro.trace.store import PartitionStore
 
 from tests.test_batch_parity import _assert_parity, _est_tuple, _poisoned_city
@@ -33,12 +31,13 @@ class TestShardParity:
         _assert_parity(ref, out, "shard")
 
     def test_key_subset_matches_batched_subset(self, partitions):
+        """A sub-city through the shards equals the batched call
+        restricted to its keys on the whole city."""
         store = PartitionStore.from_partitions(partitions)
         subset = sorted(partitions)[:3]
         b_est, b_fail, _ = identify_batch(store, 5400.0, keys=subset)
         s_est, s_fail, s_tels, _ = identify_shard(
-            PartitionStore.from_partitions(partitions), 5400.0,
-            keys=subset, max_workers=1,
+            {key: partitions[key] for key in subset}, 5400.0, max_workers=1
         )
         assert sorted(s_est) == sorted(b_est)
         assert sorted(s_fail) == sorted(b_fail)
@@ -54,10 +53,8 @@ class TestShardParity:
         assert out[1][bad_key].error_type == "ValueError"
         assert len(out[0]) + len(out[1]) == len(city)
 
-    def test_empty_key_set(self, partitions):
-        est, fail, tels, stats = identify_shard(
-            partitions, 5400.0, keys=[], max_workers=1
-        )
+    def test_empty_key_set(self):
+        est, fail, tels, stats = identify_shard({}, 5400.0, max_workers=1)
         assert est == {} and fail == {} and tels == {} and stats == []
 
 
@@ -154,23 +151,3 @@ class TestBalancedShards:
         store = PartitionStore.from_partitions(partitions)
         assert balanced_shards(store, [], 4) == []
 
-
-class TestSessionShardBackend:
-    def test_session_shard_matches_batched_session(self, partitions):
-        batched = StreamSession(store=partitions)
-        sharded = StreamSession(store=partitions, backend="shard", max_workers=1)
-        ref = batched.evaluate(5400.0)
-        out = sharded.evaluate(5400.0)
-        _assert_parity(ref, out, "session/shard")
-
-    def test_shard_session_reports_shard_stats(self, partitions):
-        report = RunReport()
-        session = StreamSession(
-            store=partitions, backend="shard", max_workers=1, report=report
-        )
-        session.evaluate(5400.0)
-        assert report.shards
-
-    def test_unknown_session_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            StreamSession(backend="gpu")

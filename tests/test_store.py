@@ -251,9 +251,9 @@ class TestFloat64Boundary:
         _assert_float64(store.columns, STORE_FLOATS)
         _assert_float64(_trace_columns(store.partition(key).trace), TRACE_FLOATS)
 
-    def test_store_columns_after_spilled_reload(self, float32_city, tmp_path):
+    def test_store_columns_after_spilled_reload(self, float32_city):
         store = PartitionStore.from_partitions(float32_city)
-        with store.spilled(str(tmp_path)) as mapped:
+        with store._spilled() as mapped:
             _assert_float64(mapped.columns, STORE_FLOATS)
             clone = pickle.loads(pickle.dumps(mapped))
             _assert_float64(clone.columns, STORE_FLOATS)

@@ -71,14 +71,37 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    """A whole number of at least one: a count or a worker pool size."""
+def _int_at_least(text: str, low: int, what: str) -> int:
+    """``text`` as a whole number of at least ``low``; ``what`` names the range."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """A whole number of at least one: a count or a worker pool size."""
+    return _int_at_least(text, 1, "a positive integer")
+
+
+def _grid_side(text: str) -> int:
+    """A whole number of at least two: intersections along a grid side."""
+    return _int_at_least(text, 2, "an integer of at least 2")
+
+
+def _frontier_horizon(text: str) -> float:
+    """A trace horizon that reaches the frontier's first evaluation time."""
+    from .eval.frontier import FrontierSpec
+
+    value = _positive_float(text)
+    if value < FrontierSpec.eval_start_s:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} ends before the first evaluation at "
+            f"{FrontierSpec.eval_start_s:g} s"
+        )
     return value
 
 
@@ -166,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="concurrent city tenants")
     srv.add_argument("--chunks", type=_positive_int, default=24,
                      help="replay chunks per tenant")
-    srv.add_argument("--intersections", type=int, default=4,
+    srv.add_argument("--intersections", type=_positive_int, default=4,
                      help="intersections per tenant (2 lights each)")
     srv.add_argument("--evaluates-per-chunk", type=_positive_int, default=6,
                      help="SLO-timed advisory queries per published version")
@@ -194,15 +217,15 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 = fixed plan, 1 = fully demand-driven)")
     fr.add_argument("--intersections", type=_positive_int, default=4,
                     help="intersections in the synthetic city (2 lights each)")
-    fr.add_argument("--horizon", type=_positive_float, default=9000.0,
+    fr.add_argument("--horizon", type=_frontier_horizon, default=9000.0,
                     help="trace horizon, seconds")
     fr.add_argument("--seed", type=int, default=0)
     fr.add_argument("--json", metavar="PATH", default=None, type=_output_path,
                     help="write the frontier curve as JSON to PATH")
 
     nav = sub.add_parser("navigate", help="Fig. 16 navigation comparison")
-    nav.add_argument("--cols", type=int, default=6)
-    nav.add_argument("--rows", type=int, default=6)
+    nav.add_argument("--cols", type=_grid_side, default=6)
+    nav.add_argument("--rows", type=_grid_side, default=6)
     nav.add_argument("--trips", type=_positive_int, default=12)
     nav.add_argument("--seed", type=int, default=7)
     return parser

@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+from .._util import check_positive
 from ..core.pipeline import PipelineConfig
 from ..core.signal_types import ScheduleEstimate
 from ..matching.partition import LightKey, LightPartition
@@ -68,14 +69,11 @@ class LoadSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
-        if self.n_tenants < 1:
-            raise ValueError(f"n_tenants must be >= 1, got {self.n_tenants}")
-        if self.n_chunks < 1:
-            raise ValueError(f"n_chunks must be >= 1, got {self.n_chunks}")
-        if self.evaluates_per_chunk < 1:
-            raise ValueError(
-                f"evaluates_per_chunk must be >= 1, got {self.evaluates_per_chunk}"
-            )
+        for name in ("n_tenants", "intersections_per_tenant", "n_chunks",
+                     "evaluates_per_chunk", "queue_depth"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        check_positive("horizon_s", self.horizon_s)
 
 
 @dataclass(frozen=True)

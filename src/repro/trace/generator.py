@@ -40,6 +40,10 @@ __all__ = ["TraceGenerator", "OVERSPEED_KMH"]
 #: (Table I field 9); urban arterials in Shenzhen post 60-80 km/h.
 OVERSPEED_KMH = 80.0
 
+#: Pieces between compactions of the draws: a morning's ~20k pieces
+#: would otherwise hold ~140k small arrays until they are emitted.
+_COMPACT_EVERY = 1024
+
 
 @dataclass
 class _Pieces:
@@ -49,15 +53,50 @@ class _Pieces:
     track's first and last recorded second, and the per-report GPS and
     heading draws.  ``jitter`` holds each piece's network-delay jitter
     when the times still need it, and is empty when they are final.
+    ``counts`` holds each piece's number of reports.
+
+    Every ``_COMPACT_EVERY`` pieces, the per-piece arrays drawn since
+    the last compaction are concatenated into one array each, in piece
+    order, so the lists hold blocks of pieces and not a small array per
+    piece.
     """
 
     tracks: List[VehicleTrack] = field(default_factory=list)
     taxi_ids: List[int] = field(default_factory=list)
     spans: List[Tuple[float, float]] = field(default_factory=list)
+    counts: List[int] = field(default_factory=list)
     times: List[np.ndarray] = field(default_factory=list)
     jitter: List[np.ndarray] = field(default_factory=list)
     gps: List[GPSDraws] = field(default_factory=list)
     heading: List[np.ndarray] = field(default_factory=list)
+
+    def add(
+        self,
+        track: VehicleTrack,
+        taxi_id: int,
+        span: Tuple[float, float],
+        times: np.ndarray,
+        jitter: Optional[np.ndarray],
+        gps: GPSDraws,
+        heading: np.ndarray,
+    ) -> None:
+        """Record one piece's draws (``jitter`` is ``None`` when its times
+        are final), compacting every ``_COMPACT_EVERY`` pieces."""
+        self.tracks.append(track)
+        self.taxi_ids.append(taxi_id)
+        self.spans.append(span)
+        self.counts.append(times.size)
+        self.times.append(times)
+        if jitter is not None:
+            self.jitter.append(jitter)
+        self.gps.append(gps)
+        self.heading.append(heading)
+        n = _COMPACT_EVERY
+        if len(self.counts) % n == 0:
+            for parts in (self.times, self.jitter, self.heading):
+                if parts:
+                    parts[-n:] = [np.concatenate(parts[-n:])]
+            self.gps[-n:] = [_concat_gps(self.gps[-n:])]
 
 
 @dataclass(frozen=True)
@@ -187,9 +226,7 @@ class TraceGenerator:
             interval = self.policy.sample_interval(rng)
             ticks, jitter = draw_report_grid(self.policy, interval, t_start, t_end, rng)
             if ticks.size:
-                self._draw_piece(pieces, track, taxi_id, t_start, t_end, ticks, rng)
-                if jitter is not None:
-                    pieces.jitter.append(jitter)
+                self._draw_piece(pieces, track, taxi_id, t_start, t_end, ticks, rng, jitter)
         return self._emit(pieces)
 
     def _sample_journeys(
@@ -232,26 +269,26 @@ class TraceGenerator:
         t_end: float,
         times: np.ndarray,
         rng: np.random.Generator,
+        jitter: Optional[np.ndarray] = None,
     ) -> None:
-        """Record a piece and make its per-report draws."""
-        pieces.tracks.append(track)
-        pieces.taxi_ids.append(taxi_id)
-        pieces.spans.append((t_start, t_end))
-        pieces.times.append(times)
-        pieces.gps.append(self.gps.draw(times.size, rng))
-        pieces.heading.append(
-            rng.normal(0.0, self.heading_noise_sd_deg, size=times.size)
-        )
+        """Make a piece's per-report draws and record it.
+
+        ``jitter`` is the network-delay jitter already drawn for
+        ``times``, if they still need it.
+        """
+        gps = self.gps.draw(times.size, rng)
+        heading = rng.normal(0.0, self.heading_noise_sd_deg, size=times.size)
+        pieces.add(track, taxi_id, (t_start, t_end), times, jitter, gps, heading)
 
     def _emit(self, pieces: _Pieces) -> TraceArrays:
         """All pieces' records, sorted by time (stable in piece order).
 
-        Consumes ``pieces``: each list of small per-piece arrays is
-        released as soon as it is concatenated.
+        Consumes ``pieces``: each list of draw arrays is released as
+        soon as it is concatenated.
         """
         if not pieces.tracks:
             return TraceArrays.empty()
-        counts = np.array([ts.size for ts in pieces.times])
+        counts = np.array(pieces.counts, dtype=np.int64)
         piece = np.repeat(np.arange(counts.size), counts)
         t_start, t_end = np.array(pieces.spans).T[:, piece]
         times = _drain(pieces.times)
@@ -259,7 +296,7 @@ class TraceGenerator:
             times = jitter_report_times(times, _drain(pieces.jitter), t_start, t_end)
             # each taxi's times are sorted after jittering
             times = times[np.lexsort((times, piece))]
-        gps = GPSDraws(*map(np.concatenate, zip(*pieces.gps)))
+        gps = _concat_gps(pieces.gps)
         pieces.gps.clear()
         heading_noise = _drain(pieces.heading)
 
@@ -308,3 +345,8 @@ def _drain(parts: List[np.ndarray]) -> np.ndarray:
     out = np.concatenate(parts)
     parts.clear()
     return out
+
+
+def _concat_gps(parts: List[GPSDraws]) -> GPSDraws:
+    """One :class:`GPSDraws` holding ``parts``' draws in order."""
+    return GPSDraws(*map(np.concatenate, zip(*parts)))

@@ -240,25 +240,42 @@ class TestNumericRanges:
         ["serve-bench", "--chunks", "0"],
         ["serve-bench", "--evaluates-per-chunk", "0"],
         ["serve-bench", "--queue-depth", "0"],
+        ["serve-bench", "--intersections", "0"],
         ["frontier", "--horizon", "0"],
         ["frontier", "--intersections", "0"],
         ["navigate", "--trips", "0"],
     ], ids=lambda a: "_".join((a[0], a[-2].lstrip("-"), a[-1])))
     def test_out_of_range_exits_2(self, args, capsys, monkeypatch):
+        command, flag, value = args[0], args[-2], args[-1]
+        assert self._refused(args, capsys, monkeypatch).startswith(
+            f"repro {command}: error: argument {flag}: {value!r} is not a positive"
+        )
+
+    @pytest.mark.parametrize("args, reason", [
+        (["navigate", "--cols", "1"], "is not an integer of at least 2"),
+        (["navigate", "--rows", "1"], "is not an integer of at least 2"),
+        (["frontier", "--horizon", "1000"],
+         "ends before the first evaluation at 3600 s"),
+    ], ids=["navigate_cols_1", "navigate_rows_1", "frontier_horizon_1000"])
+    def test_below_command_minimum_exits_2(self, args, reason, capsys, monkeypatch):
+        command, flag, value = args
+        assert self._refused(args, capsys, monkeypatch) == (
+            f"repro {command}: error: argument {flag}: {value!r} {reason}"
+        )
+
+    @staticmethod
+    def _refused(args, capsys, monkeypatch):
+        """The usage error's last line, with the command's handler stubbed out."""
         import repro.cli
 
         def no_work(_args):
             raise AssertionError("the command ran")
 
-        command, flag, value = args[0], args[-2], args[-1]
-        monkeypatch.setattr(repro.cli, f"_cmd_{command.replace('-', '_')}", no_work)
+        monkeypatch.setattr(repro.cli, f"_cmd_{args[0].replace('-', '_')}", no_work)
         with pytest.raises(SystemExit) as exc:
             main(args)
         assert exc.value.code == 2
-        err = capsys.readouterr().err.strip().splitlines()[-1]
-        assert err.startswith(
-            f"repro {command}: error: argument {flag}: {value!r} is not a positive"
-        )
+        return capsys.readouterr().err.strip().splitlines()[-1]
 
     def test_removed_backend_flags_are_usage_errors(self):
         for args in (["stream", "--city", "c", "--backend", "shard"],

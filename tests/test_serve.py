@@ -398,7 +398,9 @@ class TestQuotas:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"n_tenants": 0}, {"n_chunks": 0}, {"evaluates_per_chunk": 0}],
+        [{"n_tenants": 0}, {"n_chunks": 0}, {"evaluates_per_chunk": 0},
+         {"intersections_per_tenant": 0}, {"queue_depth": 0},
+         {"horizon_s": 0.0}, {"horizon_s": float("inf")}, {"horizon_s": float("nan")}],
     )
     def test_load_spec_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from repro.sim import ApproachConfig, CorridorSpec, simulate_corridor
 from repro.sim.engine import SimulationResult
 from repro.sim.vehicle import VehicleTrack
 from repro.trace.fleet import DEFAULT_INTERVAL_MIXTURE, ReportingPolicy
+from repro.trace import generator
 from repro.trace.generator import OVERSPEED_KMH, TraceGenerator
 from repro.trace.gps import GPSErrorModel
 from repro.trace.records import TraceArrays
@@ -354,6 +355,28 @@ class TestBatchedEqualsPerTrack:
             assert_same_trace(
                 gen.sample_journey(legs, 3, rng_a), _oracle_journey(gen, legs, 3, rng_b)
             )
+
+    @pytest.mark.parametrize("every", [1, 3, 10**9])
+    def test_compaction_leaves_the_trace_unchanged(
+        self, city, small_city_run, monkeypatch, every
+    ):
+        # each piece compacted alone, in blocks of three with a remainder,
+        # and never (more pieces than either run draws); with and without
+        # network-delay jitter
+        monkeypatch.setattr(generator, "_COMPACT_EVERY", every)
+        policy = ReportingPolicy(jitter_sd_s=0.0)
+        for gen in (TraceGenerator(city.net), TraceGenerator(city.net, policy=policy)):
+            assert_same_trace(
+                gen.generate(small_city_run, 5),
+                _oracle_generate(gen, small_city_run, np.random.default_rng(5)),
+            )
+        spec = CorridorSpec(n_lights=3, entry_rate_per_hour=400.0)
+        res = simulate_corridor(spec, 0.0, 1200.0, seed=6)
+        gen = TraceGenerator(res.net)
+        want = _oracle_journeys(gen, res.journeys, np.random.default_rng(2), 0.85)
+        assert len(want) > 100
+        got = gen.generate_journeys(res.journeys, rng=np.random.default_rng(2))
+        assert_same_trace(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(

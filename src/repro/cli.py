@@ -143,7 +143,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "column store")
     ident.add_argument("--workers", type=_positive_int, default=None,
                        help="worker processes for the shard backend "
-                            "(default: available CPUs, capped at 8)")
+                            "(default: available CPUs, capped at 8); "
+                            "needs --backend shard")
     ident.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                        help="write the RunReport JSON (stage wall times, "
                             "counters, failure taxonomy) to PATH")
@@ -156,7 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--backend", choices=BACKENDS, default="batched",
                     help="execution backend (see `repro identify`)")
     ev.add_argument("--workers", type=_positive_int, default=None,
-                    help="worker processes for the shard backend")
+                    help="worker processes for the shard backend; "
+                         "needs --backend shard")
     ev.add_argument("--report", metavar="PATH", default=None, type=_output_path,
                     help="write the RunReport JSON aggregated over all "
                          "time spots to PATH")
@@ -569,7 +571,13 @@ def _cmd_navigate(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "workers", None) is not None and args.backend != "shard":
+        parser.error(
+            f"argument --workers: needs --backend shard; the {args.backend!r} "
+            "backend runs in one process"
+        )
     handlers = {
         "simulate": _cmd_simulate,
         "stats": _cmd_stats,

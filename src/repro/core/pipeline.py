@@ -206,10 +206,15 @@ def identify_many(
       the others are checked against;
     * ``"shard"`` — :func:`repro.core.shard.identify_shard`: the
       batched call sharded by light partition across a process pool,
-      with the column store spilled to mmap-backed files so each
-      worker receives only a metadata handle (zero column bytes
-      pickled); ``max_workers`` sizes the pool.  The scaling backend
-      for large cities on multi-core hosts.
+      with the column store spilled to mmap-backed files and handed to
+      each worker once (inherited under fork; under spawn or forkserver
+      a metadata handle, zero column bytes, is pickled);
+      ``max_workers`` sizes the pool.  The scaling backend for large
+      cities on multi-core hosts.
+
+    ``max_workers`` is refused (``ValueError``) with any other backend:
+    only the shard backend runs a pool, so a worker count there would
+    be silently ignored.
 
     ``partitions`` may be a plain dict or a ``PartitionStore``; passing
     the same store across repeated calls (one per time spot) reuses its
@@ -223,6 +228,11 @@ def identify_many(
     """
     if backend not in BACKENDS:
         raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+    if max_workers is not None and backend != "shard":
+        raise ValueError(
+            f"max_workers needs backend='shard'; the {backend!r} backend "
+            "runs in one process"
+        )
     estimates: Dict[LightKey, ScheduleEstimate] = {}
     failures: Dict[LightKey, LightFailure] = {}
     tels: Dict[LightKey, StageTelemetry] = {}

@@ -13,9 +13,10 @@ batched.
 1. for the length of the call the store spills its columns to
    mmap-able ``.npy`` files in a fresh temporary directory (the
    store's private ``_spilled`` window, which removes them on exit);
-2. ``pmap(common=store)`` then ships only a lightweight handle —
-   metadata plus file paths — and ``common_bytes_limit`` enforces that
-   zero column bytes ride in the per-worker pickle;
+2. ``pmap(common=store)`` then hands the store to each worker once.
+   Under fork the workers inherit it, caches included; under spawn or
+   forkserver it is pickled, and the spill keeps that pickle to a
+   lightweight handle — metadata plus file paths, no column bytes;
 3. each worker attaches to the columns read-only and runs
    ``identify_batch`` over its own key shard.  The batched kernels are
    row-wise bit-exact for any key subset (the contract the stream
@@ -23,11 +24,14 @@ batched.
    with no new numeric code.
 
 Shards are balanced by row count — Table II's ~25× per-light record
-skew would otherwise leave workers idle behind one heavy shard — and a
-shard whose worker dies at the pool boundary re-runs in-parent through
-the same ``identify_batch`` subset, so per-light fault containment and
-the failure taxonomy are preserved.  Per-shard wall time and the
-handle's byte size come back as :class:`~repro.obs.report.ShardStats`.
+skew would otherwise leave workers idle behind one heavy shard — and
+each shard is its own pool task, so a worker that finishes early takes
+the next one.  The map runs through the containment seam
+(:func:`repro.parallel.pool.run_guarded`): if it fails at the pool
+boundary, every shard re-runs in-parent through the same
+``identify_batch`` subset, so per-light fault containment and the
+failure taxonomy are preserved.  Per-shard wall time and the handle's
+byte size come back as :class:`~repro.obs.report.ShardStats`.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from ..parallel.pool import (
     get_common,
     payload_nbytes,
     pmap,
+    run_guarded,
 )
 from ..trace.store import PartitionStore
 from .batch import identify_batch
@@ -51,12 +56,6 @@ from .pipeline import PipelineConfig
 from .signal_types import ScheduleEstimate
 
 __all__ = ["balanced_shards", "identify_shard"]
-
-#: Floor for ``pmap``'s ``common_bytes_limit``: the spilled handle is
-#: metadata + file paths + any quarantined irregular partitions (which
-#: are never columnar), so a regular city stays far below this; a limit
-#: trip means column bytes leaked back into the per-worker pickle.
-_HANDLE_BYTES_CEILING = 1 << 20
 
 #: Shards per worker: over-decomposing the fan-out lets stragglers
 #: rebalance.
@@ -106,22 +105,26 @@ def balanced_shards(
     return [ordered[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def _identify_shard_worker(job: _ShardJob) -> _ShardResult:
-    """Worker: one key shard through the batched kernels.
-
-    The job carries only keys + time + config; the partitions come out
-    of the spilled :class:`~repro.trace.store.PartitionStore` the pool
-    shipped once per worker as the ``common`` handle, columns attached
-    read-only via mmap on first touch.
-    """
+def _identify_shard(store: PartitionStore, job: _ShardJob) -> _ShardResult:
+    """One key shard of *store* through the batched kernels."""
     shard_index, keys, at_time, config = job
-    store = get_common()
     tel = StageTelemetry()
     with tel.stage("shard"):
         estimates, failures, tels = identify_batch(
             store, at_time, config=config, keys=keys
         )
     return shard_index, estimates, failures, tels, tel
+
+
+def _identify_shard_worker(job: _ShardJob) -> _ShardResult:
+    """Worker: one key shard through the batched kernels.
+
+    The job carries only keys + time + config; the partitions come out
+    of the spilled :class:`~repro.trace.store.PartitionStore` the pool
+    hands each worker once as the ``common`` object, columns attached
+    read-only via mmap on first touch.
+    """
+    return _identify_shard(get_common(), job)
 
 
 def identify_shard(
@@ -148,10 +151,15 @@ def identify_shard(
     a temporary directory for the duration of the call; on exit its
     in-memory columns are back and the directory is gone.
 
+    ``max_workers`` sizes the pool (default: available CPUs, capped at
+    8; ``1`` runs in-process).  The keys split into
+    ``_SHARDS_PER_WORKER`` row-balanced shards per worker, each its own
+    pool task.
+
     Fault containment matches the other backends at both granularities:
     per-light failures come back typed from inside ``identify_batch``,
-    and a shard that dies at the pool boundary re-runs in-parent over
-    the same keys.
+    and if the map fails at the pool boundary every shard re-runs
+    in-parent over the same keys.
     """
     config = PipelineConfig() if config is None else config
     store = (
@@ -173,27 +181,18 @@ def identify_shard(
         jobs: List[_ShardJob] = [
             (i, shard, at_time, config) for i, shard in enumerate(shards)
         ]
-        results = pmap(
-            _identify_shard_worker,
-            jobs,
-            max_workers=workers,
-            chunks_per_worker=1,
-            on_error="return",
-            common=store,
-            common_bytes_limit=max(_HANDLE_BYTES_CEILING, 2 * handle_bytes),
+        results = run_guarded(
+            pmap, _identify_shard_worker, jobs, max_workers=workers, common=store
         )
-        for i, (shard, res) in enumerate(zip(shards, results)):
-            if isinstance(res, WorkerError):
-                # The whole shard died at the pool boundary (e.g. an
-                # unpicklable result): re-run it in-parent through the
-                # same kernels, keeping per-light containment intact.
-                fb_tel = StageTelemetry()
-                with fb_tel.stage("shard"):
-                    s_est, s_fail, s_tels = identify_batch(
-                        store, at_time, config=config, keys=shard
-                    )
-                res = (i, s_est, s_fail, s_tels, fb_tel)
-            shard_index, s_est, s_fail, s_tels, s_tel = res
+        if isinstance(results, WorkerError):
+            # The map died at the pool boundary (e.g. a lost worker or
+            # an unpicklable result): re-run every shard in-parent
+            # through the same kernels, keeping per-light containment
+            # intact.
+            results = [_identify_shard(store, job) for job in jobs]
+        for shard, (shard_index, s_est, s_fail, s_tels, s_tel) in zip(
+            shards, results
+        ):
             estimates.update(s_est)
             failures.update(s_fail)
             tels.update(s_tels)

@@ -9,21 +9,19 @@ truth.  Produces the data behind Fig. 13 (one snapshot) and Fig. 14
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._util import RngLike, as_rng
+from .._util import as_rng
 from ..core.pipeline import PipelineConfig, identify_many
 from ..core.signal_types import ScheduleEstimate
 from ..lights.schedule import LightSchedule
 from ..matching.mapmatch import MatchConfig, match_trace
 from ..matching.partition import LightKey, LightPartition, partition_by_light
 from ..obs import LightFailure, RunReport
-from ..parallel.pool import pmap_seeded
 from ..trace.store import PartitionStore
-from ..sim.queueing import SignalizedApproachSim
 from ..trace.generator import TraceGenerator
 from ..trace.records import TraceArrays
 from .errors import ScheduleErrors, compare
@@ -97,30 +95,6 @@ class EvalResult:
         return EvalResult([s for s in self.samples if s.key == key])
 
 
-def _simulate_and_sample_approach(args, rng: np.random.Generator) -> TraceArrays:
-    """Fused worker: simulate one approach AND sample its taxi reports.
-
-    Fusing the two stages keeps the heavyweight 1 Hz vehicle tracks
-    inside the worker — only the ~20x smaller sampled trace crosses the
-    process boundary, which is what makes the fan-out actually scale
-    (see ``bench_parallel_scaling``).  The per-approach RNG stream makes
-    the output independent of worker count, though note the fused trace
-    differs (by design) from the unfused two-stage stream for the same
-    seed.
-    """
-    spec, generator, first_taxi_id = args
-    sim = SignalizedApproachSim(
-        controller=spec.controller,
-        arrivals=spec.arrivals,
-        config=spec.config,
-        segment_id=spec.segment_id,
-    )
-    tracks = sim.run(spec.t0, spec.t1, rng=rng)
-    return generator.generate_for_segment(
-        tracks, rng, first_taxi_id=first_taxi_id
-    )
-
-
 def simulate_and_partition(
     scenario,
     t0: float,
@@ -130,8 +104,6 @@ def simulate_and_partition(
     generator: Optional[TraceGenerator] = None,
     match_config: Optional[MatchConfig] = None,
     max_workers: Optional[int] = None,
-    serial: bool = False,
-    fused: bool = False,
 ) -> Tuple[TraceArrays, Dict[LightKey, LightPartition]]:
     """Run a scenario end-to-end up to per-light partitions.
 
@@ -139,30 +111,15 @@ def simulate_and_partition(
     (both canned scenarios qualify).  Returns the raw trace too, so
     statistics benches reuse the same data.
 
-    ``fused=True`` runs simulation *and* trace sampling inside each
-    worker (higher arithmetic intensity, ~20x less inter-process data);
-    results are deterministic per seed but follow a different random
-    stream than the default two-stage path.
+    ``max_workers`` sizes the simulator's process pool (``1`` runs it
+    in-process); the trace is the same at any worker count.
     """
     # Construct per call: a default in the signature would be one shared
     # instance across every call site.
     match_config = MatchConfig() if match_config is None else match_config
     gen = generator or TraceGenerator(scenario.net)
-    if fused:
-        sim = scenario.simulation()
-        specs = sim.specs(t0, t1)
-        jobs = [
-            (spec, gen, 10_000 + 100_000 * i) for i, spec in enumerate(specs)
-        ]
-        parts = pmap_seeded(
-            _simulate_and_sample_approach, jobs, base_seed=seed,
-            max_workers=max_workers, serial=serial,
-        )
-        trace = TraceArrays.concat(parts).sorted_by_time()
-    else:
-        sim = scenario.simulation()
-        result = sim.run(t0, t1, seed=seed, max_workers=max_workers, serial=serial)
-        trace = gen.generate(result, rng=as_rng(seed + 1))
+    result = scenario.simulation().run(t0, t1, seed=seed, max_workers=max_workers)
+    trace = gen.generate(result, rng=as_rng(seed + 1))
     matched = match_trace(trace, scenario.net, match_config)
     partitions = partition_by_light(matched, scenario.net)
     return trace, partitions

@@ -8,12 +8,12 @@ the paper's per-light data partitioning).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .._util import RngLike, check_nonnegative
+from .._util import check_nonnegative
 from ..lights.intersection import IntersectionSignals
 from ..network.roadnet import RoadNetwork, Segment
 from ..parallel.pool import pmap_seeded
@@ -180,10 +180,12 @@ class CitySimulation:
         """Simulate ``[t0, t1)`` across all configured approaches.
 
         Deterministic for a given ``seed`` regardless of worker count.
+        ``serial=True`` runs in-process, as ``max_workers=1`` does.
         """
         specs = self.specs(t0, t1)
         results = pmap_seeded(
-            _run_approach, specs, base_seed=seed, max_workers=max_workers, serial=serial
+            _run_approach, specs, base_seed=seed,
+            max_workers=1 if serial else max_workers,
         )
         by_segment = {sid: tracks for sid, tracks in results}
         return SimulationResult(tracks_by_segment=by_segment, t0=t0, t1=t1)

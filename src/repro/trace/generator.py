@@ -157,19 +157,6 @@ class TraceGenerator:
             zip(taxis, range(first_taxi_id, first_taxi_id + len(taxis))), as_rng(rng)
         )
 
-    def generate_for_segment(
-        self,
-        tracks: Sequence[VehicleTrack],
-        rng: RngLike = None,
-        *,
-        first_taxi_id: int = 10_000,
-    ) -> TraceArrays:
-        """Generate a trace for a single approach's tracks."""
-        return self._sample_tracks(
-            ((tr, first_taxi_id + i) for i, tr in enumerate(tracks) if tr.is_taxi),
-            as_rng(rng),
-        )
-
     # ------------------------------------------------------------------
     # Multi-segment journeys (corridor simulation)
     # ------------------------------------------------------------------

@@ -19,11 +19,12 @@ caches the identification pipeline re-derives per call on top of it:
 Nothing per-window is cached: the regularized speed grid depends on the
 spot, so an ``evaluate_at_times`` sweep would never reuse one.
 
-The store also travels cheaply across process boundaries: pickling
-ships the columns once per worker (via ``pmap(..., common=...)``).
-Inside :func:`repro.core.shard.identify_shard` the columns are spilled
-to ``.npy`` files for the call, so workers re-open them memory-mapped
-and the pickle payload shrinks to the file paths.
+The store also travels cheaply across process boundaries:
+``pmap(..., common=...)`` hands it to each worker once.  Inside
+:func:`repro.core.shard.identify_shard` the columns are spilled to
+``.npy`` files for the call, so a worker that unpickles the store
+(spawn or forkserver) re-opens them memory-mapped and the pickle
+payload shrinks to the file paths; under fork the workers inherit it.
 
 Extraction semantics are bit-identical to the per-partition code paths
 (the parity suite ``tests/test_batch_parity.py`` holds them together).

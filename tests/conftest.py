@@ -75,7 +75,7 @@ def _fingerprint(trace, parts):
 @pytest.fixture(scope="session")
 def city_data(city):
     """(trace, partitions) for 1.5 simulated hours of the test city."""
-    trace, parts = simulate_and_partition(city, 0.0, 5400.0, seed=7, serial=False)
+    trace, parts = simulate_and_partition(city, 0.0, 5400.0, seed=7)
     before = _fingerprint(trace, parts)
     yield trace, parts
     assert _fingerprint(trace, parts) == before, (

@@ -178,7 +178,7 @@ def build_partitions(spec: AnyGoldenScenario):
         seed=spec.scenario_seed,
     )
     _trace, partitions = simulate_and_partition(
-        city, 0.0, spec.horizon_s, seed=spec.sim_seed, serial=False
+        city, 0.0, spec.horizon_s, seed=spec.sim_seed
     )
     return partitions
 

@@ -47,6 +47,16 @@ def _assert_parity(ref, other, what):
         assert f_oth[key].message == f_ref[key].message, key
 
 
+def _no_fallback(monkeypatch):
+    """Make a failed shard map raise instead of re-running in-parent,
+    so a pool test cannot pass on the fallback's output."""
+    import repro.core.shard as shard_mod
+
+    monkeypatch.setattr(
+        shard_mod, "run_guarded", lambda func, *args, **kwargs: func(*args, **kwargs)
+    )
+
+
 def _poisoned_city(partitions):
     """The 8-light seeded city plus 2 synthetic lights, 1 in 10 corrupt."""
     city = dict(partitions)
@@ -88,9 +98,11 @@ class TestBackendParity:
         from_store = identify_many(store, 5400.0, backend="shard", max_workers=1)
         _assert_parity(from_dict, from_store, "store-backed shard")
 
-    def test_shard_pool_matches_serial(self, partitions):
-        """A real two-process pool: spill, pickled handle, worker
-        re-attach.  Fast tier, so CI's blocking job runs that path."""
+    def test_shard_pool_matches_serial(self, partitions, monkeypatch):
+        """A real two-process pool: spill, hand the store to each worker,
+        worker re-attach.  Fast tier, so CI's blocking job runs that
+        path."""
+        _no_fallback(monkeypatch)
         ref = identify_many(partitions, 5400.0, backend="serial")
         out = identify_many(partitions, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w")
@@ -118,7 +130,8 @@ class TestPoisonedCityParity:
         assert len(out_shard[0]) + len(out_shard[1]) == len(city)
 
     @pytest.mark.slow
-    def test_poisoned_city_shard_pool(self, partitions):
+    def test_poisoned_city_shard_pool(self, partitions, monkeypatch):
+        _no_fallback(monkeypatch)
         city, _bad_key, _dead_key = _poisoned_city(partitions)
         ref = identify_many(city, 5400.0, backend="serial")
         out = identify_many(city, 5400.0, backend="shard", max_workers=2)
@@ -210,7 +223,8 @@ class TestAdaptiveTraceParity:
         _assert_parity(ref, out, "shard/adaptive")
 
     @pytest.mark.slow
-    def test_shard_pool_matches_serial(self, adaptive_city):
+    def test_shard_pool_matches_serial(self, adaptive_city, monkeypatch):
+        _no_fallback(monkeypatch)
         ref = identify_many(adaptive_city, 5400.0, backend="serial")
         out = identify_many(adaptive_city, 5400.0, backend="shard", max_workers=2)
         _assert_parity(ref, out, "shard@2w/adaptive")

@@ -285,3 +285,18 @@ class TestNumericRanges:
                 build_parser().parse_args(args)
             assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args, backend", [
+        (["identify", "--city", "nowhere", "--at", "0", "--workers", "4"], "batched"),
+        (["evaluate", "--city", "nowhere", "--times", "0", "--backend", "serial",
+          "--workers", "2"], "serial"),
+    ], ids=["identify", "evaluate"])
+    def test_workers_without_shard_backend_exits_2(
+        self, args, backend, capsys, monkeypatch
+    ):
+        # only the shard backend runs a pool; a worker count elsewhere
+        # would be silently ignored
+        assert self._refused(args, capsys, monkeypatch) == (
+            "repro: error: argument --workers: needs --backend shard; "
+            f"the {backend!r} backend runs in one process"
+        )
+

@@ -116,7 +116,7 @@ class TestIdentifiedSchedulesDriveNavigation:
 class TestEvalHarnessEndToEnd:
     def test_simulate_and_partition_contract(self):
         scn = small_scenario(rate_per_hour=300.0)
-        trace, parts = simulate_and_partition(scn, 0.0, 1800.0, seed=3, serial=True)
+        trace, parts = simulate_and_partition(scn, 0.0, 1800.0, seed=3, max_workers=1)
         assert len(trace) > 100
         assert parts and all(len(p) > 0 for p in parts.values())
 

@@ -105,31 +105,3 @@ class TestEvaluateAtTimes:
         sub = res.for_key(key)
         assert all(s.key == key for s in sub.samples)
         assert len(sub) == 1
-
-
-@pytest.mark.slow
-class TestFusedSimulatePath:
-    def test_fused_deterministic_across_workers(self):
-        from repro.scenario import small_scenario
-        from repro.eval import simulate_and_partition
-
-        scn = small_scenario(rate_per_hour=300.0)
-        a, _ = simulate_and_partition(scn, 0.0, 900.0, seed=4, serial=True, fused=True)
-        b, _ = simulate_and_partition(scn, 0.0, 900.0, seed=4, max_workers=3, fused=True)
-        np.testing.assert_array_equal(a.t, b.t)
-        np.testing.assert_array_equal(a.taxi_id, b.taxi_id)
-        np.testing.assert_allclose(a.lon, b.lon)
-
-    def test_fused_produces_usable_partitions(self):
-        from repro.scenario import small_scenario
-        from repro.eval import simulate_and_partition
-        from repro.core import identify_many
-
-        scn = small_scenario(rate_per_hour=400.0)
-        trace, parts = simulate_and_partition(
-            scn, 0.0, 5400.0, seed=11, serial=True, fused=True
-        )
-        assert len(trace) > 1000 and len(parts) == 8
-        ests, _ = identify_many(parts, 5400.0, backend="serial")
-        good = sum(1 for e in ests.values() if abs(e.cycle_s - 98.0) <= 3.0)
-        assert good >= 5

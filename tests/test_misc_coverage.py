@@ -80,7 +80,7 @@ class TestCliWithoutPlans:
         from repro.trace import write_trace
 
         scn = small_scenario(rate_per_hour=400.0)
-        trace, _ = simulate_and_partition(scn, 0.0, 3600.0, seed=5, serial=True)
+        trace, _ = simulate_and_partition(scn, 0.0, 3600.0, seed=5, max_workers=1)
         prefix = str(tmp_path / "anon")
         with open(f"{prefix}.trace.txt", "w", encoding="utf-8") as fp:
             write_trace(trace, fp)

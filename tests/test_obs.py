@@ -193,7 +193,7 @@ class TestReportFromIdentifyMany:
             city[k] = poison_partition(city[k])
 
         report = RunReport()
-        ests, fails = identify_many(city, 5400.0, max_workers=2, report=report)
+        ests, fails = identify_many(city, 5400.0, report=report)
 
         # The run completed and every poisoned light is typed in the map.
         for k in bad:

@@ -101,11 +101,22 @@ class TestIdentifyMany:
     @pytest.mark.slow
     def test_parallel_equals_serial(self, partitions):
         serial, _ = identify_many(partitions, 5400.0, backend="serial")
-        parallel, _ = identify_many(partitions, 5400.0, max_workers=4)
+        parallel, _ = identify_many(
+            partitions, 5400.0, backend="shard", max_workers=4
+        )
         assert set(serial) == set(parallel)
         for key in serial:
             assert serial[key].cycle_s == pytest.approx(parallel[key].cycle_s)
             assert serial[key].red_s == pytest.approx(parallel[key].red_s)
+
+    @pytest.mark.parametrize("backend, workers", [
+        ("batched", 0), ("batched", "x"), ("batched", 2), ("serial", -3),
+    ])
+    def test_max_workers_needs_shard_backend(self, partitions, backend, workers):
+        # only the shard backend runs a pool; a worker count elsewhere
+        # would be silently ignored
+        with pytest.raises(ValueError, match="max_workers needs backend='shard'"):
+            identify_many(partitions, 5400.0, backend=backend, max_workers=workers)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

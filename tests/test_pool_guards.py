@@ -1,13 +1,14 @@
-"""Dispatch guards of the pool layer, exercised on the serial paths.
+"""Dispatch guards of the pool layer, exercised without a process pool.
 
 Process pools live in ``tests/test_parallel.py`` (slow tier); these
 cover the contracts that must hold before any process is spawned:
-``max_workers`` validation, the common-slot hygiene that keeps one
-run's store from leaking into the next ``pmap`` call, the
-``common_bytes_limit`` zero-copy guard, and the failure record the
+``max_workers`` validation and the default worker count, how a map is
+cut into pool tasks, the common-slot hygiene that keeps one run's store
+from leaking into the next ``pmap`` call, and the failure record the
 containment seam returns.
 """
 
+import os
 import pickle
 import traceback
 import weakref
@@ -20,12 +21,10 @@ from repro.parallel.pool import (
     WorkerError,
     default_workers,
     get_common,
-    payload_nbytes,
     pmap,
     pmap_seeded,
     run_guarded,
 )
-from repro.trace.store import PartitionStore
 
 
 def plus_one(x):
@@ -51,7 +50,7 @@ def read_common_seeded(item, rng):
 
 
 def outer_with_nested_map(x):
-    inner = pmap(read_common, [x], serial=True)
+    inner = pmap(read_common, [x], max_workers=1)
     return (inner[0], get_common())
 
 
@@ -75,23 +74,82 @@ class TestDefaultWorkersValidation:
         monkeypatch.setattr(pool, "_available_cpus", lambda: 0)
         assert default_workers() == 1
 
+    def test_explicit(self):
+        assert default_workers(3) == 3
+
+    def test_capped(self):
+        assert 1 <= default_workers() <= 8
+
+    def test_respects_cpu_affinity(self, monkeypatch):
+        # cgroup/affinity-limited runners expose fewer CPUs than
+        # os.cpu_count(); the default must not oversubscribe them.
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("platform has no sched_getaffinity")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert default_workers() == 2
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """``(workers, items, chunksize)`` of every pool map, run in-process.
+
+    The pool's executor is replaced by one that starts no worker.
+    """
+    calls = []
+
+    class Recording:
+        def __init__(self, max_workers, initializer, initargs):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, func, items, chunksize):
+            items = list(items)
+            calls.append((self.max_workers, len(items), chunksize))
+            return map(func, items)
+
+    monkeypatch.setattr(pool, "ProcessPoolExecutor", Recording)
+    return calls
+
+
+class TestPoolTasks:
+    @pytest.mark.parametrize("n_items, workers, chunksize", [
+        (4, 2, 1),   # the shard backend's 2 shards per worker: one task each
+        (8, 2, 1),
+        (9, 2, 2),
+        (50, 4, 4),
+    ])
+    def test_four_tasks_per_worker(self, dispatched, n_items, workers, chunksize):
+        out = pmap(plus_one, range(n_items), max_workers=workers)
+        assert out == [x + 1 for x in range(n_items)]
+        assert dispatched == [(workers, n_items, chunksize)]
+
+    def test_one_worker_or_one_item_runs_in_process(self, dispatched):
+        assert pmap(plus_one, range(5), max_workers=1) == [1, 2, 3, 4, 5]
+        assert pmap(plus_one, [1], max_workers=4) == [2]
+        assert dispatched == []
+
 
 class TestCommonSlotHygiene:
     def test_failed_dispatch_restores_clean_slot(self):
         assert get_common() is None
         with pytest.raises(ValueError):
-            pmap(boom, [1, 2], serial=True, common="this-run-store")
+            pmap(boom, [1, 2], max_workers=1, common="this-run-store")
         assert get_common() is None
 
     def test_poisoning_worker_cannot_leak_into_next_map(self):
-        out = pmap(poison_and_boom, [1], serial=True, on_error="return")
-        assert out[0].error_type == "ValueError"
+        with pytest.raises(ValueError, match="boom"):
+            pmap(poison_and_boom, [1], max_workers=1)
         assert get_common() is None
         # the next, common-free map starts from a clean slot
-        assert pmap(read_common, [0], serial=True) == [None]
+        assert pmap(read_common, [0], max_workers=1) == [None]
 
     def test_common_visible_only_during_map(self):
-        assert pmap(read_common, [0, 1], serial=True, common="store") == (
+        assert pmap(read_common, [0, 1], max_workers=1, common="store") == (
             ["store", "store"]
         )
         assert get_common() is None
@@ -99,46 +157,17 @@ class TestCommonSlotHygiene:
     def test_nested_map_isolates_and_restores_outer_common(self):
         # get_common() is None inside a common-free inner map, and the
         # outer map's object is back once the inner dispatch returns
-        out = pmap(outer_with_nested_map, [7], serial=True, common="outer-store")
+        out = pmap(outer_with_nested_map, [7], max_workers=1, common="outer-store")
         assert out == [(None, "outer-store")]
         assert get_common() is None
 
     def test_seeded_map_resets_stale_slot(self):
         pool._set_common("stale-from-a-crashed-run")
         try:
-            out = pmap_seeded(read_common_seeded, [0], base_seed=1, serial=True)
+            out = pmap_seeded(read_common_seeded, [0], base_seed=1, max_workers=1)
         finally:
             pool._set_common(None)
         assert out == [None]
-
-
-class TestCommonBytesLimit:
-    def test_oversized_common_rejected_before_dispatch(self):
-        big = np.zeros(100_000)
-        with pytest.raises(ValueError, match="bytes"):
-            pmap(plus_one, [1, 2], serial=True, common=big, common_bytes_limit=1024)
-        assert get_common() is None
-
-    def test_within_limit_passes(self):
-        out = pmap(read_common, [0], serial=True, common="ok", common_bytes_limit=4096)
-        assert out == ["ok"]
-
-    def test_limit_ignored_without_common(self):
-        assert pmap(plus_one, [1], serial=True, common_bytes_limit=1) == [2]
-
-    def test_spilled_store_fits_where_full_store_does_not(self, partitions):
-        store = PartitionStore.from_partitions(partitions)
-        limit = 32 * 1024
-        assert payload_nbytes(store) > limit, "fixture city should out-size the limit"
-        with pytest.raises(ValueError, match="spill"):
-            pmap(plus_one, [1, 2], serial=True, common=store, common_bytes_limit=limit)
-        with store._spilled():
-            assert payload_nbytes(store) < limit
-            out = pmap(
-                plus_one, [1, 2], serial=True, common=store,
-                common_bytes_limit=limit,
-            )
-        assert out == [2, 3]
 
 
 class _Marker:
@@ -179,6 +208,16 @@ class TestGuardedFailureRecord:
         clone = pickle.loads(pickle.dumps(err))
         assert clone.traceback == text
         assert clone == err and hash(clone) == hash(err)
+
+    def test_exception_is_detached(self):
+        err = run_guarded(boom, 1)
+        assert isinstance(err.exception, ValueError)
+        assert str(err.exception) == err.message
+        # no live traceback: it would pin the caller's frames, and the
+        # record itself, in a reference cycle
+        assert err.exception.__traceback__ is None
+        clone = pickle.loads(pickle.dumps(err))
+        assert clone == err and clone.exception is None
 
     def test_no_frame_local_outlives_the_seam(self):
         refs = []

@@ -4,12 +4,18 @@ The shard backend's contract mirrors the batched one it decomposes:
 bit-for-bit estimate parity on any sub-city, typed per-light failure
 containment, plus two claims of its own — zero column bytes shipped per
 worker (the store crosses the pool boundary as a metadata handle) and
-row-count-balanced shards.  Everything here runs ``max_workers=1`` (the
-in-process dispatch path, same semantics); a real two-process pool runs
+row-count-balanced shards.  Most cases run ``max_workers=1`` (the
+in-process dispatch path, same semantics).  Two run a real two-process
+pool: a worker result no pickle can carry, and spawned workers that must
+unpickle the spilled handle and re-open its columns; a forked pool runs
 in ``tests/test_batch_parity.py::TestBackendParity::test_shard_pool_matches_serial``.
 """
 
 import json
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -18,9 +24,23 @@ from repro.core import identify_many
 from repro.core.batch import identify_batch
 from repro.core.shard import balanced_shards, identify_shard
 from repro.obs import RunReport, ShardStats
+from repro.parallel import pool
 from repro.trace.store import PartitionStore
 
-from tests.test_batch_parity import _assert_parity, _est_tuple, _poisoned_city
+from tests.test_batch_parity import (
+    _assert_parity,
+    _est_tuple,
+    _no_fallback,
+    _poisoned_city,
+)
+
+_real_shard_worker = shard_mod._identify_shard_worker
+
+
+def _worker_with_lock(job):
+    """The real shard worker, with a lock in its result: no pickle can
+    carry that back to the parent."""
+    return (*_real_shard_worker(job), threading.Lock())
 
 
 class TestShardParity:
@@ -72,6 +92,31 @@ class TestShardFaultContainment:
         _assert_parity(ref, (est, fail), "shard/fallback")
         assert stats, "fallback shards still report ShardStats"
         assert all(s.wall_s >= 0.0 for s in stats)
+
+    def test_unpicklable_result_reruns_in_parent(self, partitions, monkeypatch):
+        """Every worker finishes, but no result crosses back: the map
+        fails at the pool boundary and every shard re-runs in-parent."""
+        monkeypatch.setattr(shard_mod, "_identify_shard_worker", _worker_with_lock)
+        ref = identify_many(partitions, 5400.0, backend="batched")
+        est, fail, tels, stats = identify_shard(partitions, 5400.0, max_workers=2)
+        _assert_parity(ref, (est, fail), "shard/unpicklable")
+        assert len(stats) == 4
+        assert sorted(tels) == sorted(partitions)
+
+
+class TestSpawnedWorkers:
+    def test_spawned_workers_reopen_the_spill(self, partitions, monkeypatch):
+        """Under spawn (macOS's default) each worker unpickles the spilled
+        handle and re-opens its mmap columns; under fork it inherits the
+        store, so only this case runs that path on Linux."""
+        monkeypatch.setattr(
+            pool, "ProcessPoolExecutor",
+            partial(ProcessPoolExecutor, mp_context=get_context("spawn")),
+        )
+        _no_fallback(monkeypatch)
+        ref = identify_many(partitions, 5400.0, backend="batched")
+        out = identify_many(partitions, 5400.0, backend="shard", max_workers=2)
+        _assert_parity(ref, out, "shard@2w/spawn")
 
 
 class TestZeroCopyTelemetry:

@@ -202,11 +202,6 @@ def _oracle_generate(gen, result, rng, first_taxi_id=10_000):
                            for i, tr in enumerate(taxis)])
 
 
-def _oracle_for_segment(gen, tracks, rng, first_taxi_id=10_000):
-    return _oracle_concat([_oracle_track(gen, tr, first_taxi_id + i, rng)
-                           for i, tr in enumerate(tracks) if tr.is_taxi])
-
-
 def _oracle_journeys(gen, journeys, rng, taxi_fraction, first_taxi_id=50_000):
     return _oracle_concat([_oracle_journey(gen, legs, first_taxi_id + i, rng)
                            for i, legs in enumerate(journeys)
@@ -313,10 +308,6 @@ class TestBatchedEqualsPerTrack:
             gen.generate(small_city_run, 8, first_taxi_id=7),
             _oracle_generate(gen, small_city_run, np.random.default_rng(8), 7),
         )
-        assert_same_trace(
-            gen.generate_for_segment(tracks, 8),
-            _oracle_for_segment(gen, tracks, np.random.default_rng(8)),
-        )
 
     def test_jitter_wider_than_the_grid(self, city, small_city_run):
         # jitter this wide reorders a taxi's ticks, so the sort matters
@@ -396,10 +387,6 @@ class TestBatchedEqualsPerTrack:
         result = SimulationResult({0: tracks[:3], 5: tracks[3:]}, 0.0, 5300.0)
         assert_same_trace(
             gen.generate(result, seed), _oracle_generate(gen, result, np.random.default_rng(seed))
-        )
-        assert_same_trace(
-            gen.generate_for_segment(tracks, seed),
-            _oracle_for_segment(gen, tracks, np.random.default_rng(seed)),
         )
         rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
         for i, tr in enumerate(tracks):
